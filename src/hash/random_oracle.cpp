@@ -33,43 +33,6 @@ util::BitString sha256_expand(const std::vector<std::uint8_t>& prefix, std::size
   return out;
 }
 
-// ---------------------------------------------------------- shared memo
-
-SharedOracleMemo::SharedOracleMemo(std::size_t in_bits, std::size_t out_bits, std::uint64_t seed)
-    : in_bits_(in_bits), out_bits_(out_bits), seed_(seed) {
-  if (in_bits == 0 || out_bits == 0) {
-    throw std::invalid_argument("SharedOracleMemo: zero-width domain or range");
-  }
-}
-
-bool SharedOracleMemo::lookup(const util::BitString& input, util::BitString* out) const {
-  const Shard& shard = shards_[util::BitStringHash{}(input) % kShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.table.find(input);
-  if (it == shard.table.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  *out = it->second;
-  return true;
-}
-
-void SharedOracleMemo::publish(const util::BitString& input, const util::BitString& value) {
-  Shard& shard = shards_[util::BitStringHash{}(input) % kShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.table.emplace(input, value);
-}
-
-std::size_t SharedOracleMemo::entries() const {
-  std::size_t total = 0;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    total += s.table.size();
-  }
-  return total;
-}
-
 // ---------------------------------------------------------------- Lazy RO
 
 LazyRandomOracle::LazyRandomOracle(std::size_t in_bits, std::size_t out_bits, std::uint64_t seed)
@@ -103,40 +66,13 @@ util::BitString LazyRandomOracle::query(const util::BitString& input) {
     auto it = shard.table.find(input);
     if (it != shard.table.end()) return it->second;
   }
-  // Local miss: take the answer from the cross-oracle memo when attached
-  // (same pure value, derived by an earlier job), else derive it here and
-  // publish for the next oracle of the family. Either way the *local* memo
-  // records the entry, so touched_table()/serialisation see exactly the
-  // sub-function this oracle was asked about — sharing is invisible to every
-  // observable surface. Derivation runs outside the lock (SHA work); two
-  // racing threads derive the same pure value, so whichever emplace wins the
-  // table is unchanged either way.
-  util::BitString answer;
-  if (shared_memo_ != nullptr && shared_memo_->lookup(input, &answer)) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] = shard.table.emplace(input, std::move(answer));
-    return it->second;
-  }
-  answer = derive(input);
-  if (shared_memo_ != nullptr) shared_memo_->publish(input, answer);
+  // Miss: derive outside the lock (SHA work). Two racing threads derive
+  // the same pure value, so whichever emplace wins the table is unchanged
+  // either way.
+  util::BitString answer = derive(input);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto [it, inserted] = shard.table.emplace(input, std::move(answer));
   return it->second;
-}
-
-void LazyRandomOracle::attach_shared_memo(std::shared_ptr<SharedOracleMemo> memo) {
-  // Attach during per-job setup, before any concurrent queries: the pointer
-  // itself is not synchronised (queries read it lock-free).
-  if (memo != nullptr && (memo->input_bits() != in_bits_ || memo->output_bits() != out_bits_ ||
-                          memo->seed() != seed_)) {
-    throw std::invalid_argument(
-        "LazyRandomOracle::attach_shared_memo: memo family (" +
-        std::to_string(memo->input_bits()) + "," + std::to_string(memo->output_bits()) +
-        ",seed=" + std::to_string(memo->seed()) + ") does not match oracle (" +
-        std::to_string(in_bits_) + "," + std::to_string(out_bits_) +
-        ",seed=" + std::to_string(seed_) + ")");
-  }
-  shared_memo_ = std::move(memo);
 }
 
 std::size_t LazyRandomOracle::touched_entries() const {

@@ -13,7 +13,10 @@
 //                           (c) indistinguishable-from-random to strategies
 //                           that do not know the seed. Touched entries are
 //                           memoised so transcripts/serialisation can see
-//                           exactly the queried sub-function.
+//                           exactly the queried sub-function. The memo is
+//                           the oracle's own: no answers are shared between
+//                           oracle instances, so two oracles of one seed
+//                           each derive what they are asked.
 //  * ExhaustiveRandomOracle — a genuinely i.i.d.-uniform table over the full
 //                           domain, for tiny n (<= 22). Used by the
 //                           compression argument's self-contained round-trip
@@ -29,7 +32,6 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -55,60 +57,6 @@ class RandomOracle {
 
  protected:
   void check_input(const util::BitString& input) const;
-};
-
-/// Cross-oracle memo of one oracle *family* (in_bits, out_bits, seed): the
-/// derived answers of every input any attached oracle has ever queried.
-/// Multiple LazyRandomOracle instances — e.g. the per-job oracles of an
-/// mpch-serve sweep, which rebuild the same (family, seed) oracle for every
-/// job — attach one shared memo so each distinct sub-query pays its SHA-256
-/// derivation once per process instead of once per job.
-///
-/// Determinism is preserved by construction: the memo only ever stores
-/// derive(seed, input), a pure function, and attaching it never changes an
-/// oracle's observable state (touched_table, total_queries, counters) — it
-/// only short-circuits re-derivation. The family key is checked at attach
-/// time so a memo can never leak answers across domains or seeds.
-///
-/// Thread-safe: sharded behind per-shard mutexes (concurrent serve workers
-/// hit it from independent jobs), hit/miss counters are atomic.
-class SharedOracleMemo {
- public:
-  SharedOracleMemo(std::size_t in_bits, std::size_t out_bits, std::uint64_t seed);
-
-  std::size_t input_bits() const { return in_bits_; }
-  std::size_t output_bits() const { return out_bits_; }
-  std::uint64_t seed() const { return seed_; }
-
-  /// Fetch the memoised answer for `input`; returns false (and leaves *out
-  /// untouched) when the family has not derived it yet.
-  bool lookup(const util::BitString& input, util::BitString* out) const;
-
-  /// Record a derived answer. Idempotent — racing publishers of the same
-  /// pure value leave the table unchanged either way.
-  void publish(const util::BitString& input, const util::BitString& value);
-
-  std::size_t entries() const;
-  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-
- private:
-  static constexpr std::size_t kShards = 16;
-
-  struct Shard {
-    mutable std::mutex mu;
-    // Point lookups only; nothing observable ever iterates this table (each
-    // oracle's own memo is the serialisation/transcript surface).
-    std::unordered_map<util::BitString, util::BitString,  // lint:ordered-exempt
-                       util::BitStringHash> table;
-  };
-
-  std::size_t in_bits_;
-  std::size_t out_bits_;
-  std::uint64_t seed_;
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  std::array<Shard, kShards> shards_;
 };
 
 /// Secret-seeded PRF oracle; see file comment. The default RO for all
@@ -161,16 +109,6 @@ class LazyRandomOracle final : public RandomOracle {
   /// CLI's unprotected-baseline audit.
   std::vector<util::BitString> verify_memo() const;
 
-  /// Share derivations with other oracles of the same family: on a local
-  /// memo miss, consult `memo` before running SHA-256, and publish any
-  /// answer this oracle does derive. Passing null detaches. Observable
-  /// state is unaffected (see SharedOracleMemo); corrupt_memo_entry flips
-  /// stay local and are never published. Throws std::invalid_argument when
-  /// the memo's (in_bits, out_bits, seed) does not match this oracle's.
-  void attach_shared_memo(std::shared_ptr<SharedOracleMemo> memo);
-
-  bool has_shared_memo() const { return shared_memo_ != nullptr; }
-
  private:
   static constexpr std::size_t kShards = 16;
 
@@ -192,7 +130,6 @@ class LazyRandomOracle final : public RandomOracle {
   std::uint64_t seed_;
   std::atomic<std::uint64_t> total_queries_{0};
   std::array<Shard, kShards> shards_;
-  std::shared_ptr<SharedOracleMemo> shared_memo_;
 };
 
 /// Fully materialised uniform table over {0,1}^in_bits. in_bits <= 22.

@@ -34,9 +34,8 @@ struct MpcSimulation::MachineSlot {
       if (oracle != nullptr) oracle->begin_round(io.round);
       if (crashed) return;
       algo.run_machine(io, oracle, tape, scratch);
-      // Byte-moving transports serialise the outbox here, on the worker
-      // thread, while other machines are still running (the shared-memory
-      // backend's rings see genuinely concurrent traffic); the barrier
+      // A transport may take the outbox here, on the worker thread, while
+      // other machines are still running (Transport::stage); the barrier
       // collects it back with collect_staged() before the merge.
       if (transport != nullptr) {
         staged = transport->stage(io.round, io.machine, io.outbox);
@@ -171,7 +170,6 @@ MpcRunResult MpcSimulation::run_rounds(MpcAlgorithm& algo, std::uint64_t start_r
   // re-allocating the phase-A scaffolding. All per-round fields are reset at
   // the top of each round.
   std::vector<MachineSlot> slots(config_.machines);
-  RoundArena& buffers = arena();
 
   for (std::uint64_t round = start_round; round < config_.max_rounds; ++round) {
     if (observer != nullptr) observer->before_round(round);
@@ -193,7 +191,7 @@ MpcRunResult MpcSimulation::run_rounds(MpcAlgorithm& algo, std::uint64_t start_r
     std::vector<std::vector<Message>> plain_inboxes;
     const bool stripped = auth && round > 0;
     if (stripped) {
-      plain_inboxes = buffers.acquire(config_.machines);
+      plain_inboxes.resize(config_.machines);
       for (std::uint64_t i = 0; i < config_.machines; ++i) {
         plain_inboxes[i] = strip_tags(inboxes[i]);
       }
@@ -243,8 +241,8 @@ MpcRunResult MpcSimulation::run_rounds(MpcAlgorithm& algo, std::uint64_t start_r
         outputs.push_back(std::move(*slot.io.output));
         any_output = true;
       }
-      // The outbox to meter: either still in the slot, or — for byte-moving
-      // backends — staged as wire frames in phase A and decoded back here.
+      // The outbox to meter: either still in the slot, or — when the
+      // transport staged it in phase A — collected back here.
       // Validation and metering always run on the barrier thread, against
       // the exact payloads the transport will carry.
       std::vector<Message> outbox =
@@ -274,7 +272,7 @@ MpcRunResult MpcSimulation::run_rounds(MpcAlgorithm& algo, std::uint64_t start_r
     // machine's merged deliveries come back in the canonical (sender index,
     // send order) inbox order — identical across backends.
     transport->flush(round);
-    std::vector<std::vector<Message>> next_inboxes = buffers.acquire(config_.machines);
+    std::vector<std::vector<Message>> next_inboxes(config_.machines);
     for (std::uint64_t j = 0; j < config_.machines; ++j) {
       next_inboxes[j] = transport->receive(round, j);
     }
@@ -332,16 +330,12 @@ MpcRunResult MpcSimulation::run_rounds(MpcAlgorithm& algo, std::uint64_t start_r
       snapshot.attestations = &attestations;
       observer->after_round(snapshot);
     }
-    if (stripped) buffers.release(std::move(plain_inboxes));
     if (any_output) {
       result.completed = true;
-      buffers.release(std::move(next_inboxes));
       break;
     }
-    buffers.release(std::move(inboxes));
     inboxes = std::move(next_inboxes);
   }
-  buffers.release(std::move(inboxes));
 
   // Canonicalise the transcript to the (round, machine, seq) order — a no-op
   // after serial rounds, the determinism step after parallel ones.

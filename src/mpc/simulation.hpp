@@ -37,7 +37,6 @@
 
 #include "hash/oracle_transcript.hpp"
 #include "hash/random_oracle.hpp"
-#include "mpc/arena.hpp"
 #include "mpc/auth.hpp"
 #include "mpc/message.hpp"
 #include "mpc/shared_tape.hpp"
@@ -92,14 +91,13 @@ struct MpcConfig {
   /// checkpoints — because deliveries arrive in the canonical (sender index,
   /// send order) merge order and every transport is quiescent at each round
   /// barrier. The default moves messages in-process with zero copies;
-  /// kSharedMemory round-trips every payload through per-machine byte rings
-  /// (staged by the worker threads); kSocket forks router processes and
-  /// moves every message over AF_UNIX sockets with binomial-tree broadcast
-  /// dissemination. tests/transport_conformance_test.cpp pins the
-  /// equivalence for every strategy in the tree.
+  /// kSocket forks router processes and moves every message over AF_UNIX
+  /// sockets with binomial-tree broadcast dissemination.
+  /// tests/transport_conformance_test.cpp pins the equivalence for every
+  /// strategy in the tree.
   transport::TransportKind transport = transport::TransportKind::kInProcess;
   /// Socket backend: shard-group router process count. 0 = auto (2 for
-  /// m > 1); clamped to [1, machines]. Ignored by the other backends.
+  /// m > 1); clamped to [1, machines]. Ignored by the in-process backend.
   std::uint64_t transport_processes = 0;
 };
 
@@ -238,14 +236,6 @@ class MpcSimulation {
     transport_factory_ = std::move(factory);
   }
 
-  /// Recycle round-loop buffers through an externally-owned arena instead of
-  /// this simulation's private one — mpch-serve workers pass their per-worker
-  /// arena so buffer capacity survives *across jobs*, not just across rounds.
-  /// The arena is touched only on the thread driving run()/resume(); the
-  /// caller must not share one arena between concurrently-running
-  /// simulations. Pass nullptr to return to the private arena.
-  void set_arena(RoundArena* arena) { external_arena_ = arena; }
-
  private:
   struct MachineSlot;
 
@@ -261,16 +251,9 @@ class MpcSimulation {
 
   std::unique_ptr<transport::Transport> make_run_transport() const;
 
-  RoundArena& arena() { return external_arena_ != nullptr ? *external_arena_ : own_arena_; }
-
   MpcConfig config_;
   std::shared_ptr<hash::RandomOracle> oracle_;
   TransportFactory transport_factory_;
-  /// Buffer recycling for the round loop (mpc/arena.hpp). The private arena
-  /// makes every multi-round run reuse its own inbox-set storage; serve
-  /// workers override it via set_arena to extend the reuse across jobs.
-  RoundArena own_arena_;
-  RoundArena* external_arena_ = nullptr;
   /// Lazily-created pool sized to config_.threads (not the host's core
   /// count): the parallelism degree is part of the experiment configuration,
   /// and a dedicated pool keeps nested simulations (e.g. inside stats/trials

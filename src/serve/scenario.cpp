@@ -33,13 +33,9 @@ mpc::MpcConfig base_config(std::uint64_t m, std::uint64_t s, std::uint64_t q,
 
 }  // namespace
 
-std::shared_ptr<hash::LazyRandomOracle> Scenario::make_oracle(
-    std::shared_ptr<hash::SharedOracleMemo> memo) const {
+std::shared_ptr<hash::LazyRandomOracle> Scenario::make_oracle() const {
   if (!family.present()) return nullptr;
-  auto oracle =
-      std::make_shared<hash::LazyRandomOracle>(family.in_bits, family.out_bits, family.seed);
-  if (memo != nullptr) oracle->attach_shared_memo(std::move(memo));
-  return oracle;
+  return std::make_shared<hash::LazyRandomOracle>(family.in_bits, family.out_bits, family.seed);
 }
 
 const std::vector<std::string>& strategy_names() {

@@ -8,11 +8,9 @@
 // all: there is one construction, not two copies drifting apart.
 //
 // Scenarios are built fresh per execution (strategy-internal counters must
-// never leak between runs), and the oracle is created through make_oracle so
-// a caller may attach a process-wide SharedOracleMemo: sharing only
-// short-circuits the pure derive() step, so every observable surface (local
-// memo contents, transcript, query counts) is unchanged — see
-// hash/random_oracle.hpp.
+// never leak between runs), and make_oracle hands every execution a fresh
+// oracle of the scenario's family, so no memo contents or query counts
+// carry over from one run to the next.
 #pragma once
 
 #include <cstdint>
@@ -27,19 +25,13 @@
 namespace mpch::serve {
 
 /// The oracle-family key (input width, output width, secret seed). Two runs
-/// whose families agree evaluate the *same* random function, so their memo
-/// entries are interchangeable — the sharing key for SharedOracleMemo.
+/// whose families agree evaluate the *same* random function.
 struct OracleFamily {
   std::uint64_t in_bits = 0;
   std::uint64_t out_bits = 0;
   std::uint64_t seed = 0;
 
   bool present() const { return in_bits != 0; }
-  bool operator<(const OracleFamily& o) const {
-    if (in_bits != o.in_bits) return in_bits < o.in_bits;
-    if (out_bits != o.out_bits) return out_bits < o.out_bits;
-    return seed < o.seed;
-  }
 };
 
 struct Scenario {
@@ -50,9 +42,7 @@ struct Scenario {
   std::shared_ptr<const core::LineInput> truth;  // outlives algo (speculative holds a pointer)
 
   /// A fresh oracle for one execution, or null for plain-model scenarios.
-  /// `memo` (optional) must match `family`; it is attached before any query.
-  std::shared_ptr<hash::LazyRandomOracle> make_oracle(
-      std::shared_ptr<hash::SharedOracleMemo> memo = nullptr) const;
+  std::shared_ptr<hash::LazyRandomOracle> make_oracle() const;
 };
 
 /// Names accepted by make_scenario, in canonical order.

@@ -2,43 +2,30 @@
 //
 // A ServeService takes a batch of parsed JobSpecs and executes them on a
 // fixed-size pool of worker threads fed by a bounded queue (backpressure:
-// submission blocks when workers fall behind). Three things make the hot
-// path cheap without touching the cornerstone bit-determinism guarantee:
+// submission blocks when workers fall behind). Jobs share nothing but the
+// pool: every job builds its own scenario, simulation and LazyRandomOracle
+// (whose memo is the only one), so a job's transcript, touched table and
+// query counts are what a standalone run produces by construction.
 //
-//  * Shared oracle memo — one process-wide SharedOracleMemo per oracle
-//    family (in_bits, out_bits, seed), attached to every job oracle of that
-//    family. Sharing short-circuits only the pure derive() step; each job's
-//    own LazyRandomOracle still records exactly the sub-function *it*
-//    queried, so transcripts, touched tables, and query counts are
-//    byte-for-byte what a standalone run produces.
-//
-//  * Per-worker buffer arenas — each worker owns a RoundArena handed to the
-//    simulations it runs, so inbox-set storage is recycled across the jobs
-//    that worker executes instead of round-tripping the allocator. Arenas
-//    recycle capacity only and are never shared between workers.
-//
-//  * Budget admission — before a job runs, its strategy's declared
-//    ProtocolSpec is checked against the job's memory budget with the
-//    existing static checker. A job that cannot fit is rejected with full
-//    diagnostic provenance (and a distinct exit code at the CLI) before a
-//    single round executes.
+// Budget admission: before a job runs, its strategy's declared ProtocolSpec
+// is checked against the job's memory budget with the existing static
+// checker. A job that cannot fit is rejected with full diagnostic
+// provenance (and a distinct exit code at the CLI) before a single round
+// executes.
 //
 // The cornerstone invariant, proven by serve_conformance_test: every
 // JobResult is bit-identical to running the same JobSpec standalone
-// (run_standalone), for every worker count and with sharing/reuse on.
+// (run_standalone), for every worker count.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "analysis/static_checker.hpp"
 #include "fault/recovery.hpp"
 #include "hash/random_oracle.hpp"
-#include "mpc/arena.hpp"
 #include "mpc/simulation.hpp"
 #include "serve/job_spec.hpp"
 #include "serve/scenario.hpp"
@@ -80,8 +67,6 @@ struct JobResult {
 struct ServeOptions {
   std::uint64_t workers = 1;
   std::size_t queue_depth = 64;
-  bool share_memo = true;
-  bool reuse_buffers = true;
 };
 
 /// Campaign-level accounting, filled by run_jobs.
@@ -91,12 +76,10 @@ struct ServeStats {
   std::uint64_t ok = 0;
   std::uint64_t rejected = 0;
   std::uint64_t failed = 0;
-  std::uint64_t memo_families = 0;
-  std::uint64_t memo_entries = 0;
+  /// Always 0: jobs share no oracle memo, so there is nothing to hit. Kept
+  /// for callers that report a hit fraction (it reads 0).
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_misses = 0;
-  std::uint64_t arena_reuses = 0;
-  std::uint64_t arena_allocations = 0;
   std::uint64_t backpressure_waits = 0;
   std::uint64_t queue_high_watermark = 0;
 };
@@ -106,25 +89,20 @@ class ServeService {
   explicit ServeService(ServeOptions options = {});
 
   /// Execute every job on the worker pool. Returns one JobResult per job, in
-  /// jobfile order; result *content* is independent of workers/queue_depth/
-  /// share_memo/reuse_buffers (only wall_ms and the worker index vary).
+  /// jobfile order; result *content* is independent of workers/queue_depth
+  /// (only wall_ms and the worker index vary).
   std::vector<JobResult> run_jobs(const std::vector<JobSpec>& jobs);
 
   const ServeStats& stats() const { return stats_; }
 
-  /// The reference executor: one job with standalone semantics — no shared
-  /// memo, no arena reuse, current thread. serve_conformance_test compares
-  /// pool results against this.
+  /// Execute one job on the current thread. Every pool worker runs exactly
+  /// this per job; serve_conformance_test uses it as the standalone
+  /// reference that pool results are compared against.
   static JobResult run_standalone(const JobSpec& spec, std::uint64_t job_id = 0);
 
  private:
-  JobResult execute(const JobSpec& spec, std::uint64_t job_id, mpc::RoundArena* arena);
-  std::shared_ptr<hash::SharedOracleMemo> memo_for(const OracleFamily& family);
-
   ServeOptions options_;
   ServeStats stats_;
-  std::mutex memo_mu_;
-  std::map<OracleFamily, std::shared_ptr<hash::SharedOracleMemo>> memos_;
 };
 
 }  // namespace mpch::serve

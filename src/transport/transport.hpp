@@ -3,17 +3,12 @@
 // Definition 2.1 says nothing about *how* the s-bit messages move between
 // rounds, only that machine i's round-(k+1) memory is exactly the union of
 // messages addressed to it in round k. MpcSimulation therefore routes every
-// delivery through this interface, and the three backends differ only in
+// delivery through this interface, and the two backends differ only in
 // how bytes travel:
 //
 //   * InProcessTransport    — messages move by std::move; zero-copy. The
 //     behaviour the tree has always had, and the serial reference every
 //     other backend is conformance-tested against.
-//   * SharedMemoryTransport — each machine owns a byte ring buffer; the
-//     worker thread that ran the machine serialises its outbox into the ring
-//     as MPCF frames (transport/wire.hpp) before the barrier, and the
-//     barrier thread decodes them back. Every payload round-trips through
-//     bytes, concurrently, without the thread pool's determinism changing.
 //   * SocketTransport       — machines are partitioned into shard groups,
 //     one forked router OS process per group; frames travel over AF_UNIX
 //     stream sockets, broadcasts coalesce into single frames fanned out
@@ -53,14 +48,14 @@ class TransportError : public std::runtime_error {
   explicit TransportError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Backend selector, routed through MpcConfig::transport.
+/// Backend selector, routed through MpcConfig::transport. Value 1 is
+/// retired and stays unused, so a value never changes meaning.
 enum class TransportKind : std::uint8_t {
   kInProcess = 0,
-  kSharedMemory = 1,
   kSocket = 2,
 };
 
-/// Parse "in-process"/"inprocess", "shared-memory"/"shm", "socket".
+/// Parse "in-process"/"inprocess", "socket".
 /// Throws std::invalid_argument on anything else (CLI flags fail loudly).
 TransportKind parse_transport_kind(const std::string& name);
 std::string to_string(TransportKind kind);
@@ -86,15 +81,17 @@ class Transport {
   virtual std::string name() const = 0;
 
   /// Bind to an execution: called once before the first barrier of a
-  /// run/resume with the machine count. Backends allocate rings / spawn
-  /// router processes here (never lazily mid-round).
+  /// run/resume with the machine count. Backends spawn router processes
+  /// here (never lazily mid-round).
   virtual void start(std::uint64_t machines) = 0;
 
   /// Phase-A hook, called from the worker thread that ran `machine` (at
   /// most once per (round, machine), concurrently across machines): offer
   /// the outbox for early wire encoding. Return true to take the bytes —
   /// the barrier will then call collect_staged() to get them back — or
-  /// false to leave the outbox with the caller. Default: not staged.
+  /// false to leave the outbox with the caller. Default: not staged; no
+  /// in-tree backend stages, but decorators (e.g. a timing wrapper) may
+  /// forward it.
   virtual bool stage(std::uint64_t /*round*/, std::uint64_t /*machine*/,
                      const std::vector<mpc::Message>& /*outbox*/) {
     return false;

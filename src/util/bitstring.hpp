@@ -16,9 +16,11 @@ namespace mpch::util {
 
 /// A dynamically sized string of bits.
 ///
-/// Storage is byte-packed. All operations are bounds-checked in debug builds
-/// (assert) and rely on callers passing valid ranges in release builds, like
-/// the rest of the library. Equality, hashing, and lexicographic comparison
+/// Storage is byte-packed. Positional operations (get/set, get_uint/set_uint,
+/// slice, splice, truncate) are range-checked in every build type and throw
+/// std::out_of_range on a bad index or range; width and length mismatches
+/// (a uint field over 64 bits, XOR of unequal lengths) throw
+/// std::invalid_argument. Equality, hashing, and lexicographic comparison
 /// treat the value as the exact bit sequence (two BitStrings of different
 /// length are never equal even if one is a zero-padded version of the other).
 class BitString {

@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
                  "                  [--policy restart|replicate|quarantine|none]\n"
                  "                  [--every N] [--retries N] [--strikes N] [--authenticate]\n"
                  "                  [--threads N] [--seed N] [--checkpoint-file PATH] [--list]\n"
-                 "                  [--transport in-process|shared-memory|socket] [--transport-procs N]\n"
+                 "                  [--transport in-process|socket] [--transport-procs N]\n"
                  "                  [--format text|json]\n"
                  "  plan grammar : semicolon-separated events —\n"
                  "                 crash:machine=M,round=R | drop:round=R,to=M,index=I\n"
