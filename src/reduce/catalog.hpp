@@ -61,6 +61,14 @@ struct BuiltinCatalog {
   std::vector<BrokenEntry> broken;
 };
 
+/// Cross-check runner over a serve scenario: the named strategy under its
+/// registry config, optionally MAC-authenticated through
+/// serve::enable_authentication (the same tag headroom serve grants, so the
+/// runtime meter has room to observe).
+std::function<mpc::MpcRunResult(mpc::MpcConfig*)> scenario_runner(const std::string& name,
+                                                                  std::uint64_t seed,
+                                                                  bool authenticate);
+
 /// Build the library. `seed` feeds the scenario inputs the cross-check
 /// runners execute (the specs themselves are seed-independent).
 BuiltinCatalog build_builtin_catalog(std::uint64_t seed);

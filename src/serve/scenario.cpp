@@ -147,6 +147,11 @@ Scenario make_scenario(const std::string& name, std::uint64_t seed, std::uint64_
   return s;
 }
 
+void enable_authentication(Scenario& s) {
+  s.config.authenticate_messages = true;
+  s.config.local_memory_bits += 1 << 16;
+}
+
 std::vector<std::string> artifact_mismatches(const mpc::MpcRunResult& ref,
                                              const hash::LazyRandomOracle* ref_oracle,
                                              const mpc::MpcRunResult& got,
@@ -160,7 +165,10 @@ std::vector<std::string> artifact_mismatches(const mpc::MpcRunResult& ref,
   if (ref.output != got.output) bad.push_back("output bits differ");
   if (ref.trace.rounds() != got.trace.rounds()) bad.push_back("per-round stats differ");
   if (ref.trace.annotations() != got.trace.annotations()) bad.push_back("annotations differ");
-  if (ref.transcript->records() != got.transcript->records()) {
+  // A failed job carries a default run with no transcript at all.
+  if ((ref.transcript == nullptr) != (got.transcript == nullptr)) {
+    bad.push_back("oracle transcript presence differs");
+  } else if (ref.transcript != nullptr && ref.transcript->records() != got.transcript->records()) {
     bad.push_back("oracle transcript differs (" + std::to_string(ref.transcript->records().size()) +
                   " vs " + std::to_string(got.transcript->records().size()) + " records)");
   }

@@ -1,11 +1,15 @@
-// scenario.hpp — the shared strategy catalog behind mpch-chaos and
-// mpch-serve.
+// scenario.hpp — the one strategy registry and artifact comparator of the
+// tree.
 //
 // A Scenario is one runnable (config, algorithm, initial memory, oracle
-// recipe) bundle for a named strategy at a given seed. Both tools build the
-// exact same bundles — that is what makes serve's cornerstone conformance
-// claim ("every JobResult is bit-identical to a standalone run") testable at
-// all: there is one construction, not two copies drifting apart.
+// recipe) bundle for a named strategy at a given seed. mpch-chaos,
+// mpch-serve, mpch-reduce, mpch-bench and the differential test suites
+// (thread × transport, checkpoint recovery, Byzantine quarantine, serve
+// pooling; see tests/differential.hpp) all build the exact same bundles and
+// compare runs with the same artifact_mismatches. That is what makes the
+// bit-identity claims testable at all: there is one construction and one
+// notion of "identical", not copies drifting apart. A new strategy is one
+// entry here and every matrix picks it up.
 //
 // Scenarios are built fresh per execution (strategy-internal counters must
 // never leak between runs), and make_oracle hands every execution a fresh
@@ -53,11 +57,19 @@ const std::vector<std::string>& strategy_names();
 /// unknown name.
 Scenario make_scenario(const std::string& name, std::uint64_t seed, std::uint64_t threads);
 
+/// Turn on MAC-tagged messaging (MpcConfig::authenticate_messages) and widen
+/// s by the tag headroom every authenticated run uses: tag bits count
+/// against the memory budget, so tight strategies need room for their
+/// per-message tags.
+void enable_authentication(Scenario& s);
+
 /// Compare one run against another across every observable surface (output,
 /// round stats, annotations, oracle transcript, materialised oracle table,
 /// query counts); returns human-readable mismatch descriptions, empty when
-/// bit-identical. Shared by mpch-chaos recovery verification and serve's
-/// chaos verb so "verified" means the same thing everywhere.
+/// bit-identical. A run without a transcript (a failed serve job) compares
+/// by presence. Shared by mpch-chaos recovery verification, serve's chaos
+/// verb and the differential suites so "verified" means the same thing
+/// everywhere.
 std::vector<std::string> artifact_mismatches(const mpc::MpcRunResult& ref,
                                              const hash::LazyRandomOracle* ref_oracle,
                                              const mpc::MpcRunResult& got,

@@ -25,11 +25,7 @@ double elapsed_ms(std::chrono::steady_clock::time_point start) {
 void apply_job_config(const JobSpec& spec, Scenario* sc) {
   sc->config.transport = spec.transport;
   sc->config.transport_processes = spec.transport_processes;
-  if (spec.authenticate) {
-    sc->config.authenticate_messages = true;
-    // Tag bits count against the memory budget; same headroom as mpch-chaos.
-    sc->config.local_memory_bits += 1 << 16;
-  }
+  if (spec.authenticate) enable_authentication(*sc);
 }
 
 }  // namespace

@@ -9,12 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "differential.hpp"
 #include "fault/checkpoint.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
@@ -27,6 +27,7 @@
 namespace mpch::mpc {
 namespace {
 
+using differential::skip_socket_backend;
 using util::BitString;
 
 /// Plain-model ring: pass a token once around, origin outputs the hop count.
@@ -240,13 +241,6 @@ TEST(AuthMessaging, CheckpointResumeReverifiesTags) {
 // in-process FaultInjector twin must yield *identical* TamperViolations.
 // (Round r's token travels machine r%3 -> (r+1)%3; round 2 delivers to
 // machine 0.)
-
-// TSan cannot follow fork()ed routers; MPCH_SKIP_SOCKET_TRANSPORT=1 skips
-// the socket-path tests so the rest of this suite still runs under it.
-bool skip_socket_backend() {
-  const char* v = std::getenv("MPCH_SKIP_SOCKET_TRANSPORT");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 MpcRunResult run_ring_over_socket(const MpcConfig& c,
                                   std::function<void(transport::WireFrame&)> tamper) {

@@ -1,40 +1,30 @@
-// parallel_simulation_test.cpp — the serial-vs-parallel differential suite.
+// parallel_simulation_test.cpp — the serial-vs-parallel properties beyond
+// the conformance matrix.
 //
-// MpcConfig::threads promises bit-identical results at any thread count. This
-// suite pins that promise down for every strategy in the tree: each scenario
-// builds a fresh (oracle, input, strategy) triple from a seed, runs it at
-// threads ∈ {0 (serial baseline), 1, 2, 8}, and compares the *entire*
-// observable result — output bits, rounds_used, every per-round RoundStats
-// field, every trace annotation sequence, the canonically-sorted transcript
-// (including per-machine seq numbers), the oracle's materialised sub-function
-// (touched_table) and exact query count. Failure semantics are differential
-// too: budget overruns and memory violations must surface as the same
-// exception with the same message in both modes.
+// MpcConfig::threads promises bit-identical results at any thread count. The
+// per-strategy half of that promise lives in transport_conformance_test.cpp:
+// its in-process cells run every registry strategy (plus the speculative
+// u = 4 enumeration and mpclib broadcast rows) at threads {1, 2, 8} against
+// the serial reference and compare every observable artifact. This suite
+// keeps what a scenario matrix cannot express: the parallel output equals
+// the RAM evaluation of Line (both modes are not identically wrong),
+// seed-determinism of the guess-ahead trial loop, concurrent BlockSet
+// decodes, thread counts above m, and differential failure semantics —
+// budget overruns and memory violations must surface as the same exception
+// with the same message in both modes.
 #include "mpc/simulation.hpp"
 
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "core/line.hpp"
 #include "hash/random_oracle.hpp"
-#include "mpclib/primitives.hpp"
-#include "ram/machine.hpp"
-#include "ram/programs.hpp"
-#include "strategies/batch_pointer_chasing.hpp"
-#include "strategies/colluding.hpp"
-#include "strategies/dictionary.hpp"
-#include "strategies/full_memory.hpp"
+#include "strategies/block_store.hpp"
 #include "strategies/guess_ahead.hpp"
-#include "strategies/pipelined_simline.hpp"
 #include "strategies/pointer_chasing.hpp"
-#include "strategies/ram_emulation.hpp"
-#include "strategies/speculative.hpp"
 #include "util/rng.hpp"
-#include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mpch {
@@ -43,85 +33,6 @@ namespace {
 using util::BitString;
 
 constexpr std::uint64_t kSeeds[] = {11, 22, 33};
-constexpr std::uint64_t kThreadCounts[] = {1, 2, 8};
-
-/// Everything observable about one run, flattened for comparison.
-struct Artifacts {
-  bool completed = false;
-  std::uint64_t rounds_used = 0;
-  BitString output;
-  std::vector<mpc::RoundStats> rounds;
-  std::map<std::string, std::vector<std::uint64_t>> annotations;
-  std::vector<hash::QueryRecord> records;
-  std::vector<std::pair<BitString, BitString>> touched;
-  std::uint64_t oracle_total = 0;
-  std::uint64_t extra = 0;  ///< strategy-specific counter (e.g. lucky_escapes)
-};
-
-Artifacts extract(const mpc::MpcRunResult& result, const hash::LazyRandomOracle* oracle) {
-  Artifacts a;
-  a.completed = result.completed;
-  a.rounds_used = result.rounds_used;
-  a.output = result.output;
-  a.rounds = result.trace.rounds();
-  a.annotations = result.trace.annotations();
-  a.records = result.transcript->records();
-  if (oracle != nullptr) {
-    a.touched = oracle->touched_table();
-    a.oracle_total = oracle->total_queries();
-  }
-  return a;
-}
-
-void expect_identical(const Artifacts& serial, const Artifacts& parallel) {
-  EXPECT_EQ(serial.completed, parallel.completed);
-  EXPECT_EQ(serial.rounds_used, parallel.rounds_used);
-  EXPECT_EQ(serial.output, parallel.output);
-  EXPECT_EQ(serial.extra, parallel.extra);
-
-  ASSERT_EQ(serial.rounds.size(), parallel.rounds.size());
-  for (std::size_t r = 0; r < serial.rounds.size(); ++r) {
-    const auto& s = serial.rounds[r];
-    const auto& p = parallel.rounds[r];
-    EXPECT_EQ(s.round, p.round) << "round " << r;
-    EXPECT_EQ(s.messages, p.messages) << "round " << r;
-    EXPECT_EQ(s.communicated_bits, p.communicated_bits) << "round " << r;
-    EXPECT_EQ(s.oracle_queries, p.oracle_queries) << "round " << r;
-    EXPECT_EQ(s.max_inbox_bits, p.max_inbox_bits) << "round " << r;
-  }
-
-  EXPECT_EQ(serial.annotations, parallel.annotations);
-
-  ASSERT_EQ(serial.records.size(), parallel.records.size());
-  for (std::size_t i = 0; i < serial.records.size(); ++i) {
-    const auto& s = serial.records[i];
-    const auto& p = parallel.records[i];
-    EXPECT_EQ(s.round, p.round) << "record " << i;
-    EXPECT_EQ(s.machine, p.machine) << "record " << i;
-    EXPECT_EQ(s.seq, p.seq) << "record " << i;
-    EXPECT_EQ(s.input, p.input) << "record " << i;
-    EXPECT_EQ(s.output, p.output) << "record " << i;
-  }
-
-  EXPECT_EQ(serial.oracle_total, parallel.oracle_total);
-  ASSERT_EQ(serial.touched.size(), parallel.touched.size());
-  for (std::size_t i = 0; i < serial.touched.size(); ++i) {
-    EXPECT_EQ(serial.touched[i].first, parallel.touched[i].first) << "entry " << i;
-    EXPECT_EQ(serial.touched[i].second, parallel.touched[i].second) << "entry " << i;
-  }
-}
-
-using Scenario = std::function<Artifacts(std::uint64_t seed, std::uint64_t threads)>;
-
-void run_differential(const Scenario& scenario) {
-  for (std::uint64_t seed : kSeeds) {
-    Artifacts baseline = scenario(seed, 0);  // the serial reference
-    for (std::uint64_t threads : kThreadCounts) {
-      SCOPED_TRACE("seed=" + std::to_string(seed) + " threads=" + std::to_string(threads));
-      expect_identical(baseline, scenario(seed, threads));
-    }
-  }
-}
 
 mpc::MpcConfig cfg(std::uint64_t m, std::uint64_t s, std::uint64_t q, std::uint64_t threads,
                    std::uint64_t max_rounds = 20000) {
@@ -133,20 +44,6 @@ mpc::MpcConfig cfg(std::uint64_t m, std::uint64_t s, std::uint64_t q, std::uint6
   c.tape_seed = 5;
   c.threads = threads;
   return c;
-}
-
-TEST(ParallelDifferential, PointerChasing) {
-  run_differential([](std::uint64_t seed, std::uint64_t threads) {
-    core::LineParams p = core::LineParams::make(64, 16, 8, 96);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    util::Rng rng(seed + 1);
-    core::LineInput input = core::LineInput::random(p, rng);
-    strategies::PointerChasingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
-    mpc::MpcSimulation sim(cfg(4, strat.required_local_memory(), 1 << 20, threads), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
 }
 
 TEST(ParallelDifferential, ParallelOutputMatchesRamEvaluation) {
@@ -164,136 +61,6 @@ TEST(ParallelDifferential, ParallelOutputMatchesRamEvaluation) {
   auto result = sim.run(strat, strat.make_initial_memory(input));
   ASSERT_TRUE(result.completed);
   EXPECT_EQ(result.output, expected);
-}
-
-TEST(ParallelDifferential, BatchPointerChasing) {
-  run_differential([](std::uint64_t seed, std::uint64_t threads) {
-    core::LineParams p = core::LineParams::make(64, 16, 8, 128);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    const std::uint64_t k = 4, m = 4;
-    std::vector<core::LineInput> inputs;
-    for (std::uint64_t i = 0; i < k; ++i) {
-      util::Rng rng(seed * 100 + i);
-      inputs.push_back(core::LineInput::random(p, rng));
-    }
-    strategies::BatchPointerChasingStrategy strat(
-        p, strategies::OwnershipPlan::round_robin(p, m), k);
-    mpc::MpcSimulation sim(cfg(m, strat.required_local_memory(), 1 << 20, threads), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(inputs));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
-}
-
-TEST(ParallelDifferential, SpeculativeEnumeration) {
-  // u = 4 with exhaustive enumeration: every stall escapes by guessing, so
-  // the run exercises the tape-indexed guessing path and the lucky_escapes
-  // counter under concurrency.
-  run_differential([](std::uint64_t seed, std::uint64_t threads) {
-    core::LineParams p = core::LineParams::make(3 * 4 + 16, 4, 8, 64);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    util::Rng rng(seed * 3 + 7);
-    core::LineInput input = core::LineInput::random(p, rng);
-    strategies::SpeculativeStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4),
-                                          {16, true}, input);
-    mpc::MpcSimulation sim(cfg(4, strat.required_local_memory(), 1 << 20, threads), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    Artifacts a = extract(result, oracle.get());
-    a.extra = strat.lucky_escapes();
-    return a;
-  });
-}
-
-TEST(ParallelDifferential, PipelinedSimLine) {
-  run_differential([](std::uint64_t seed, std::uint64_t threads) {
-    core::LineParams p = core::LineParams::make(64, 16, 16, 256);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    util::Rng rng(seed + 2);
-    core::LineInput input = core::LineInput::random(p, rng);
-    strategies::PipelinedSimLineStrategy strat(p, strategies::OwnershipPlan::windows(p, 4, 4));
-    mpc::MpcSimulation sim(cfg(4, strat.required_local_memory(), 1 << 20, threads), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
-}
-
-TEST(ParallelDifferential, ColludingBroadcast) {
-  // The broadcast ablation is the sharpest concurrency test: *every* machine
-  // owning the needed block advances in parallel, issuing duplicate oracle
-  // queries from multiple threads in the same round.
-  run_differential([](std::uint64_t seed, std::uint64_t threads) {
-    core::LineParams p = core::LineParams::make(64, 16, 8, 96);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    util::Rng rng(seed + 3);
-    core::LineInput input = core::LineInput::random(p, rng);
-    strategies::ColludingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
-    mpc::MpcSimulation sim(cfg(4, strat.required_local_memory(), 1 << 20, threads), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
-}
-
-TEST(ParallelDifferential, Dictionary) {
-  run_differential([](std::uint64_t seed, std::uint64_t threads) {
-    core::LineParams p = core::LineParams::make(64, 16, 32, 128);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    util::Rng rng(seed + 4);
-    core::LineInput input = strategies::make_low_entropy_input(p, 2, rng);
-    strategies::DictionaryStrategy strat(p, 4);
-    mpc::MpcSimulation sim(cfg(4, strat.gathered_bits(2), p.w + 1, threads, 10), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
-}
-
-TEST(ParallelDifferential, FullMemory) {
-  run_differential([](std::uint64_t seed, std::uint64_t threads) {
-    core::LineParams p = core::LineParams::make(64, 16, 8, 256);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    util::Rng rng(seed + 5);
-    core::LineInput input = core::LineInput::random(p, rng);
-    strategies::FullMemoryStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
-    mpc::MpcSimulation sim(cfg(4, strat.required_local_memory(), p.w + 1, threads, 10), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
-}
-
-TEST(ParallelDifferential, RamEmulation) {
-  // Plain model (no oracle): the CPU/server message choreography must still
-  // merge identically. Memory contents vary with the seed.
-  run_differential([](std::uint64_t seed, std::uint64_t threads) {
-    const std::uint64_t n = 8;
-    std::vector<std::uint64_t> memory(n);
-    for (std::uint64_t i = 0; i < n; ++i) memory[i] = (seed * 7 + i * 3) % 97;
-    std::vector<ram::Instruction> prog = ram::programs::sum(n);
-    strategies::RamEmulationStrategy strat(prog, 4, 1);
-    mpc::MpcConfig c = cfg(4, strat.required_local_memory(memory.size()), 1, threads, 1 << 20);
-    mpc::MpcSimulation sim(c, nullptr);
-    auto result = sim.run(strat, strat.make_initial_memory(memory));
-    EXPECT_TRUE(result.completed);
-    return extract(result, nullptr);
-  });
-}
-
-TEST(ParallelDifferential, MpclibBroadcast) {
-  // Plain-model substrate algorithm at a machine count well above the thread
-  // cap, so chunks carry several machines each.
-  run_differential([](std::uint64_t seed, std::uint64_t threads) {
-    const std::uint64_t m = 16;
-    mpclib::BroadcastAlgorithm algo(m, 2);
-    mpc::MpcConfig c = cfg(m, 1 << 16, 1, threads, 200);
-    c.tape_seed = seed;
-    mpc::MpcSimulation sim(c, nullptr);
-    auto result = sim.run(algo, {BitString::from_uint(0xBEEF ^ seed, 16)});
-    EXPECT_TRUE(result.completed);
-    return extract(result, nullptr);
-  });
 }
 
 TEST(ParallelDifferential, GuessAheadTrialsAreSeedDeterministic) {

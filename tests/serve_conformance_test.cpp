@@ -4,7 +4,8 @@
 // count, output bits, per-round RoundStats (including the instrumented
 // peaks), annotations, the oracle transcript records, the materialised
 // oracle table, and total query counts — the same compare
-// serve::artifact_mismatches gives mpch-chaos.
+// serve::artifact_mismatches gives mpch-chaos. A job that fails (an
+// unrecoverable chaos plan) must fail the same way: same status, same error.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -29,6 +30,7 @@ constexpr std::uint64_t kWorkerCounts[] = {1, 2, 8};
 
 void expect_identical(const JobResult& ref, const JobResult& got, const std::string& label) {
   ASSERT_EQ(ref.status, got.status) << label << ": " << ref.error << " vs " << got.error;
+  EXPECT_EQ(ref.error, got.error) << label;
   if (ref.status == JobStatus::kRejected) return;
   const auto bad =
       artifact_mismatches(ref.run, ref.oracle.get(), got.run, got.oracle.get());
@@ -42,6 +44,17 @@ void expect_identical(const JobResult& ref, const JobResult& got, const std::str
   EXPECT_EQ(ref.cost.checkpoints_taken, got.cost.checkpoints_taken) << label;
   // Verify-verb surface.
   EXPECT_EQ(ref.soundness.ok(), got.soundness.ok()) << label;
+}
+
+JobSpec unrecoverable_job() {
+  JobSpec spec;
+  spec.verb = JobVerb::kChaos;
+  spec.strategy = "pointer-chasing";
+  spec.seed = 11;
+  spec.plan = "kill:round=0";
+  spec.policy = "restart";
+  spec.every = 2;
+  return spec;
 }
 
 std::vector<JobSpec> conformance_jobs() {
@@ -77,6 +90,9 @@ std::vector<JobSpec> conformance_jobs() {
   chaos2.plan = "crash:machine=2,round=3";
   chaos2.policy = "replicate";
   jobs.push_back(chaos2);
+  // A kill before the first checkpoint is unrecoverable: the job fails with
+  // a default (transcript-less) run, which must compare like any other.
+  jobs.push_back(unrecoverable_job());
   return jobs;
 }
 
@@ -88,7 +104,9 @@ TEST(ServeConformance, PoolResultsMatchStandaloneForAllWorkerCounts) {
   reference.reserve(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     reference.push_back(ServeService::run_standalone(jobs[i], i));
-    ASSERT_EQ(reference.back().status, JobStatus::kOk)
+    const JobStatus want =
+        jobs[i].describe() == unrecoverable_job().describe() ? JobStatus::kFailed : JobStatus::kOk;
+    ASSERT_EQ(reference.back().status, want)
         << jobs[i].describe() << ": " << reference.back().error;
   }
 

@@ -16,10 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "differential.hpp"
 #include "transport/socket.hpp"
 #include "transport/transport.hpp"
 #include "util/bitstring.hpp"
@@ -27,6 +27,7 @@
 namespace mpch {
 namespace {
 
+using differential::skip_socket_backend;
 using transport::FrameDecoder;
 using transport::FrameType;
 using transport::InboxAssembler;
@@ -336,13 +337,6 @@ TEST(WireHostile, BroadcastFanoutCapIsStrictlyGreaterThan) {
 }
 
 // ---- direct backend exercises ----
-
-// TSan cannot follow fork()ed routers; MPCH_SKIP_SOCKET_TRANSPORT=1 skips
-// the socket-path tests so the codec suites still run under it.
-bool skip_socket_backend() {
-  const char* v = std::getenv("MPCH_SKIP_SOCKET_TRANSPORT");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 TEST(SocketTransportTest, DeliversAcrossRouterProcessesOverMultipleRounds) {
   if (skip_socket_backend()) GTEST_SKIP() << "MPCH_SKIP_SOCKET_TRANSPORT set";

@@ -281,13 +281,7 @@ int main(int argc, char** argv) {
     authenticate = true;
     auth_auto = true;
   }
-  // Tag bits count against the memory budget; give every machine headroom
-  // for its per-message 64-bit tags so tight strategies stay inside s.
-  auto enable_auth = [](serve::Scenario& sc) {
-    sc.config.authenticate_messages = true;
-    sc.config.local_memory_bits += 1 << 16;
-  };
-  if (authenticate) enable_auth(reference);
+  if (authenticate) serve::enable_authentication(reference);
 
   Report report;
   report.strategy = strategy;
@@ -337,7 +331,7 @@ int main(int argc, char** argv) {
   // counters must not carry over from the reference run.
   serve::Scenario chaos = serve::make_scenario(strategy, seed, threads);
   select_transport(chaos);
-  if (authenticate) enable_auth(chaos);
+  if (authenticate) serve::enable_authentication(chaos);
   try {
     if (policy == "none") {
       // Unprotected baseline: faults applied silently, no recovery. Crash-

@@ -41,26 +41,8 @@ namespace {
 std::function<mpc::MpcRunResult(mpc::MpcConfig*)> resolve_runner(const std::string& target,
                                                                  std::uint64_t seed) {
   for (const std::string& name : serve::strategy_names()) {
-    if (target == name) {
-      return [name, seed](mpc::MpcConfig* config) {
-        serve::Scenario sc = serve::make_scenario(name, seed, 0);
-        *config = sc.config;
-        auto oracle = sc.make_oracle();
-        mpc::MpcSimulation sim(sc.config, oracle);
-        return sim.run(*sc.algo, sc.initial);
-      };
-    }
-    if (target == name + "+auth") {
-      return [name, seed](mpc::MpcConfig* config) {
-        serve::Scenario sc = serve::make_scenario(name, seed, 0);
-        sc.config.authenticate_messages = true;
-        sc.config.local_memory_bits += 1 << 16;
-        *config = sc.config;
-        auto oracle = sc.make_oracle();
-        mpc::MpcSimulation sim(sc.config, oracle);
-        return sim.run(*sc.algo, sc.initial);
-      };
-    }
+    if (target == name) return reduce::scenario_runner(name, seed, false);
+    if (target == name + "+auth") return reduce::scenario_runner(name, seed, true);
   }
   return {};
 }
