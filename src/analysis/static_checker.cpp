@@ -244,6 +244,19 @@ AnalysisReport check_spec_dominance(const ProtocolSpec& inner, const ProtocolSpe
   return report;
 }
 
+mpc::MpcConfig documented_config(const ProtocolSpec& spec, std::uint64_t q) {
+  mpc::MpcConfig c;
+  c.machines = spec.machines;
+  c.max_rounds = spec.max_rounds;
+  c.query_budget = q;
+  for (std::uint64_t shape = 0; shape < spec.distinct_round_shapes(); ++shape) {
+    const std::uint64_t round = shape < spec.prologue.size() ? shape : spec.prologue.size();
+    const RoundEnvelope& env = spec.envelope(round);
+    c.local_memory_bits = std::max({c.local_memory_bits, env.memory_bits, env.recv_bits});
+  }
+  return c;
+}
+
 AnalysisReport check_spec(const ProtocolSpec& spec, const mpc::MpcConfig& config) {
   if (spec.machines == 0) {
     throw std::invalid_argument("check_spec: malformed spec (zero machines): " + spec.protocol);

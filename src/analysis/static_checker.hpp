@@ -72,6 +72,13 @@ struct AnalysisReport {
 /// or zero rounds) — that is a bug in the spec, not a conformance result.
 AnalysisReport check_spec(const ProtocolSpec& spec, const mpc::MpcConfig& config);
 
+/// The documented MpcConfig for `spec`: exactly the envelope it declares
+/// (m machines, s = worst declared memory or delivery over every round
+/// shape, rounds = the declared bound) with query budget `q`, so check_spec
+/// passes by construction. The common baseline of mpch-analyze, mpch-verify
+/// and the analysis tests.
+mpc::MpcConfig documented_config(const ProtocolSpec& spec, std::uint64_t q);
+
 /// Effective per-round query bound of `spec` under `config` — the declared
 /// envelope, clamped to q for budget-adaptive protocols. Shared by the
 /// static and soundness passes so they can never disagree about what a

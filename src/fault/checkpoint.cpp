@@ -200,7 +200,7 @@ Checkpoint capture(const mpc::RoundSnapshot& snapshot, const mpc::MpcConfig& con
   cp.inboxes = *snapshot.next_inboxes;
   cp.rounds = snapshot.trace->rounds();
   cp.annotations = snapshot.trace->annotations();
-  if (snapshot.transcript != nullptr) cp.transcript = snapshot.transcript->canonical_records();
+  if (snapshot.transcript != nullptr) cp.transcript = snapshot.transcript->records();
   if (oracle != nullptr) {
     cp.has_oracle = true;
     cp.oracle_in_bits = oracle->input_bits();

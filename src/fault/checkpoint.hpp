@@ -72,8 +72,8 @@ struct Checkpoint {
 };
 
 /// Capture a checkpoint from a live round barrier. `oracle` may be null
-/// (plain-model execution). The transcript is snapshotted in canonical
-/// order, so mid-run parallel logs serialise deterministically.
+/// (plain-model execution). The run transcript is already in its canonical
+/// (round, machine, seq) order at every barrier, so it is copied as is.
 Checkpoint capture(const mpc::RoundSnapshot& snapshot, const mpc::MpcConfig& config,
                    const hash::LazyRandomOracle* oracle);
 

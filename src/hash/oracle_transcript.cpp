@@ -1,32 +1,18 @@
 #include "hash/oracle_transcript.hpp"
 
-#include <algorithm>
-#include <tuple>
 #include <unordered_set>
 
 namespace mpch::hash {
 
-void OracleTranscript::sort_canonical() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::sort(records_.begin(), records_.end(), [](const QueryRecord& a, const QueryRecord& b) {
-    return std::tie(a.round, a.machine, a.seq) < std::tie(b.round, b.machine, b.seq);
-  });
-}
-
-std::vector<QueryRecord> OracleTranscript::canonical_records() const {
-  std::vector<QueryRecord> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = records_;
-  }
-  std::sort(out.begin(), out.end(), [](const QueryRecord& a, const QueryRecord& b) {
-    return std::tie(a.round, a.machine, a.seq) < std::tie(b.round, b.machine, b.seq);
-  });
-  return out;
+void OracleTranscript::append(OracleTranscript& log) {
+  // One push_back per record keeps the doubling growth of recording
+  // directly: a range insert sizes each reallocation from the current
+  // size, and its last step can leave up to twice the needed capacity.
+  for (auto& rec : log.records_) records_.push_back(std::move(rec));
+  log.records_.clear();
 }
 
 void OracleTranscript::restore(std::vector<QueryRecord> records) {
-  std::lock_guard<std::mutex> lock(mu_);
   records_ = std::move(records);
 }
 

@@ -5,12 +5,17 @@
 // round k), and their intersections with the correct-chain sets C^{(k)}.
 // CountingOracle is the enforcement + recording decorator every simulated
 // machine talks through; OracleTranscript is the queryable log.
+//
+// A machine sees only its own memory and the RO during a round, so each
+// machine's CountingOracle records into its own log; the simulation's round
+// barrier appends those logs to the run transcript in machine index order.
+// Nothing is shared while machines run, and the run transcript is in
+// (round, machine, seq) order by construction at any thread count.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -34,37 +39,23 @@ struct QueryRecord {
   bool operator==(const QueryRecord&) const = default;
 };
 
-/// Append-only log of queries across an entire MPC execution. Appends are
-/// mutex-serialised so machines of a parallel round can share one log;
-/// `sort_canonical()` restores the deterministic (round, machine, seq) order
-/// after the interleaved appends.
+/// Append-only log of queries, in the order they were recorded. Not
+/// thread-safe: a log has one writer at a time (one machine during a round,
+/// the barrier thread between rounds).
 class OracleTranscript {
  public:
   void record(std::uint64_t round, std::uint64_t machine, const util::BitString& input,
               const util::BitString& output, std::uint64_t seq = 0) {
-    std::lock_guard<std::mutex> lock(mu_);
     records_.push_back({round, machine, seq, input, output});
   }
 
   const std::vector<QueryRecord>& records() const { return records_; }
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return records_.size();
-  }
-  void clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    records_.clear();
-  }
+  std::size_t size() const { return records_.size(); }
+  void clear() { records_.clear(); }
 
-  /// Sort records by (round, machine, seq) — a no-op on serially-built logs,
-  /// and the canonicalisation step after a parallel round. The key is unique
-  /// per record, so the result is a single deterministic order.
-  void sort_canonical();
-
-  /// A copy of the log in canonical (round, machine, seq) order, leaving the
-  /// live log untouched. Checkpoints snapshot through this so a mid-run
-  /// parallel log serialises in its deterministic order.
-  std::vector<QueryRecord> canonical_records() const;
+  /// Move every record of `log` onto the end of this log, leaving `log`
+  /// empty (its capacity is kept for the next round).
+  void append(OracleTranscript& log);
 
   /// Replace the log wholesale with `records` (a deserialised checkpoint's
   /// transcript); subsequent record() calls append after them.
@@ -82,7 +73,6 @@ class OracleTranscript {
                               const std::vector<util::BitString>& targets) const;
 
  private:
-  mutable std::mutex mu_;
   std::vector<QueryRecord> records_;
 };
 
@@ -93,15 +83,15 @@ class QueryBudgetExceeded : public std::runtime_error {
 };
 
 /// Per-machine oracle view: enforces the per-round budget q of Definition 2.2
-/// / Theorem 3.1 (q < 2^{n/4}) and records every query into the shared
-/// transcript. The underlying oracle is shared by all machines (it is *the*
-/// RO of the model).
+/// / Theorem 3.1 (q < 2^{n/4}) and records every query into `transcript`
+/// (the machine's own log in a simulation). The underlying oracle is shared
+/// by all machines (it is *the* RO of the model).
 ///
 /// Threading: each CountingOracle belongs to exactly one machine, and a
-/// machine runs on one thread per round, so the budget counters need no
-/// atomics — the budget check is race-free by ownership. The shared pieces
-/// (inner oracle, transcript) are independently thread-safe; cross-round
-/// visibility of the counters comes from the simulation's round barrier.
+/// machine runs on one thread per round, so neither the budget counters nor
+/// the log need synchronisation — both are race-free by ownership. The inner
+/// oracle is the only shared piece and is thread-safe; cross-round
+/// visibility comes from the simulation's round barrier.
 class CountingOracle final : public RandomOracle {
  public:
   CountingOracle(std::shared_ptr<RandomOracle> inner, std::uint64_t machine_id,

@@ -152,13 +152,18 @@ MpcRunResult MpcSimulation::run_rounds(MpcAlgorithm& algo, std::uint64_t start_r
 
   // Per-machine budgeted oracle views, all over the one shared RO. Budget
   // counters reset at every round start, so a resumed execution's views are
-  // indistinguishable from the originals at the same round boundary.
+  // indistinguishable from the originals at the same round boundary. Each
+  // view records into its machine's own log; phase B appends the logs to
+  // the run transcript in machine index order.
   std::vector<std::unique_ptr<hash::CountingOracle>> oracles;
+  std::vector<std::shared_ptr<hash::OracleTranscript>> query_logs;
   if (oracle_) {
     oracles.reserve(config_.machines);
+    query_logs.reserve(config_.machines);
     for (std::uint64_t i = 0; i < config_.machines; ++i) {
-      oracles.push_back(std::make_unique<hash::CountingOracle>(
-          oracle_, i, config_.query_budget, result.transcript));
+      query_logs.push_back(std::make_shared<hash::OracleTranscript>());
+      oracles.push_back(std::make_unique<hash::CountingOracle>(oracle_, i, config_.query_budget,
+                                                               query_logs.back()));
     }
   }
 
@@ -236,6 +241,7 @@ MpcRunResult MpcSimulation::run_rounds(MpcAlgorithm& algo, std::uint64_t start_r
       result.trace.merge_round_from(slot.scratch);
       if (slot.oracle != nullptr) {
         result.trace.current().peak_queries.observe(slot.oracle->queries_this_round(), i);
+        result.transcript->append(*query_logs[i]);
       }
       if (slot.io.output.has_value()) {
         outputs.push_back(std::move(*slot.io.output));
@@ -336,10 +342,6 @@ MpcRunResult MpcSimulation::run_rounds(MpcAlgorithm& algo, std::uint64_t start_r
     }
     inboxes = std::move(next_inboxes);
   }
-
-  // Canonicalise the transcript to the (round, machine, seq) order — a no-op
-  // after serial rounds, the determinism step after parallel ones.
-  result.transcript->sort_canonical();
 
   // "the union of outputs of all the machines" — concatenated in machine
   // order of emission.

@@ -21,10 +21,11 @@
 // literal: with MpcConfig::threads > 1, the machines of a round execute on a
 // worker pool, with a barrier before any cross-machine state is touched.
 // Every run — serial or parallel, any thread count — produces bit-identical
-// results: per-machine outputs/outboxes/annotations land in per-machine
-// slots and merge in machine index order, and the oracle transcript sorts on
-// the stable key (round, machine, per-machine seq). The differential suite
-// in tests/parallel_simulation_test.cpp pins this equivalence down for every
+// results: per-machine outputs/outboxes/annotations and oracle query logs
+// land in per-machine slots and merge in machine index order at the
+// barrier, so the run transcript is written once per round in (round,
+// machine, per-machine seq) order — no lock, no sort. The in-process cells of
+// tests/transport_conformance_test.cpp pin this equivalence down for every
 // strategy in the tree.
 #pragma once
 
@@ -69,9 +70,9 @@ struct MpcConfig {
   std::uint64_t tape_seed = 0;          ///< seed of the shared random tape
   /// Worker threads running the machines of a round concurrently. 0 or 1 =
   /// serial (the default). Results are bit-identical to the serial path for
-  /// any value: outputs/messages merge in machine index order after the
-  /// round barrier, trace counters reduce deterministically, and the oracle
-  /// transcript carries a stable (round, machine, seq) sort key. Requires
+  /// any value: outputs, messages and per-machine oracle query logs merge in
+  /// machine index order after the round barrier, and trace counters reduce
+  /// deterministically. Requires
   /// the algorithm's run_machine to be safe to call concurrently for
   /// *different* machines (all in-tree strategies are).
   std::uint64_t threads = 0;

@@ -111,7 +111,7 @@ void BatchPointerChasingStrategy::run_machine(mpc::MachineIo& io, hash::Counting
   // Parse the inbox. Round-0 shares concatenate per-instance block payloads
   // into one message; later rounds carry one message per payload. The block
   // payload format is self-delimiting, so parse sequentially either way.
-  std::map<std::uint64_t, std::pair<util::BitString, std::shared_ptr<const BlockSet>>> blocks;
+  std::map<std::uint64_t, std::pair<util::BitString, BlockSet>> blocks;
   std::map<std::uint64_t, Frontier> frontiers;
   std::map<std::uint64_t, util::BitString> collected;  // inst -> answer
   for (const auto& msg : *io.inbox) {
@@ -132,24 +132,7 @@ void BatchPointerChasingStrategy::run_machine(mpc::MachineIo& io, hash::Counting
         w.write_uint(tag, kTagBits);
         w.write_uint(inst, kInstBits);
         w.write_bits(body.slice(0, consumed));
-        util::BitString exact = w.take();
-        std::uint64_t key = exact.hash();
-        std::shared_ptr<const BlockSet> parsed;
-        {
-          // The decode already happened above; only the cache lookup and
-          // first-wins insert need the lock (machines of a parallel round
-          // share the strategy object).
-          std::lock_guard<std::mutex> lock(parse_cache_mu_);
-          auto it = parse_cache_.find(key);
-          if (it != parse_cache_.end()) {
-            parsed = it->second;
-          } else {
-            parsed = parse_cache_
-                         .emplace(key, std::make_shared<const BlockSet>(std::move(set)))
-                         .first->second;
-          }
-        }
-        blocks[inst] = {std::move(exact), parsed};
+        blocks.insert_or_assign(inst, std::make_pair(w.take(), std::move(set)));
         rest = body.slice(consumed, body.size() - consumed);
         continue;
       }
@@ -196,7 +179,7 @@ void BatchPointerChasingStrategy::run_machine(mpc::MachineIo& io, hash::Counting
   for (auto& [inst, f] : frontiers) {
     auto bit = blocks.find(inst);
     if (bit == blocks.end()) continue;
-    const BlockSet& own = *bit->second.second;
+    const BlockSet& own = bit->second.second;
     util::BitString last_answer;
     bool have_answer = false;
     while (f.next_index <= params_.w && own.contains(f.ell) &&

@@ -14,15 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "analysis/protocol_spec.hpp"
 #include "core/line.hpp"
 #include "mpc/simulation.hpp"
 #include "strategies/block_store.hpp"
-#include "strategies/pointer_chasing.hpp"
 
 namespace mpch::strategies {
 
@@ -63,9 +59,6 @@ class BatchPointerChasingStrategy final : public mpc::MpcAlgorithm,
   core::LineCodec codec_;
   OwnershipPlan plan_;
   std::uint64_t instances_;
-  // Mutex-guarded: machines of a parallel round share the strategy object.
-  std::mutex parse_cache_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const BlockSet>> parse_cache_;
 };
 
 }  // namespace mpch::strategies

@@ -81,6 +81,39 @@ std::uint64_t Frontier::encoded_bits(const core::LineParams& params) {
   return params.index_bits + params.ell_bits + params.u;
 }
 
+BlockInbox BlockInboxParser::parse(const std::vector<mpc::Message>& inbox) {
+  BlockInbox out;
+  for (const auto& msg : inbox) {
+    util::BitReader r(msg.payload);
+    auto tag = static_cast<PayloadTag>(r.read_uint(kTagBits));
+    if (tag == PayloadTag::kBlocks) {
+      out.blocks = decode_blocks(msg.payload);
+      out.blocks_payload = msg.payload;
+    } else if (tag == PayloadTag::kFrontier) {
+      util::BitString body = msg.payload.slice(kTagBits, msg.payload.size() - kTagBits);
+      Frontier f = Frontier::decode(params_, body);
+      if (!out.frontier || f.next_index > out.frontier->next_index) out.frontier = std::move(f);
+    } else {
+      throw std::invalid_argument("BlockInboxParser: unknown payload tag");
+    }
+  }
+  return out;
+}
+
+std::shared_ptr<const BlockSet> BlockInboxParser::decode_blocks(const util::BitString& payload) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = cache_.find(payload);
+    if (it != cache_.end()) return it->second;
+  }
+  // Decode outside the lock; if two machines race on the same payload the
+  // first emplace wins and both use the winner's parse.
+  util::BitString body = payload.slice(kTagBits, payload.size() - kTagBits);
+  auto parsed = std::make_shared<const BlockSet>(BlockSet::decode(params_, body));
+  std::lock_guard<std::mutex> lock(mu_);
+  return cache_.emplace(payload, std::move(parsed)).first->second;
+}
+
 OwnershipPlan OwnershipPlan::round_robin(const core::LineParams& params, std::uint64_t machines) {
   if (machines == 0) throw std::invalid_argument("OwnershipPlan::round_robin: zero machines");
   OwnershipPlan plan;

@@ -11,14 +11,24 @@
 // Bit accounting is intentional: a machine holding σ blocks pays
 // σ·(ell_bits + u) bits of its s-bit memory, which is the "a machine can
 // only store a constant fraction of x_i's" mechanism of the lower bound.
+//
+// The Line/SimLine strategies (pointer-chasing, pipelined-simline,
+// speculative, colluding) send exactly two message kinds, each one record
+// behind a tag, and read their inboxes with the one BlockInboxParser below:
+//
+//   [tag:2 = kBlocks][BlockSet]     (to self: the machine's own blocks)
+//   [tag:2 = kFrontier][Frontier]   (the walk hand-off)
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "core/params.hpp"
+#include "mpc/message.hpp"
 #include "util/bitstring.hpp"
 
 namespace mpch::strategies {
@@ -62,6 +72,39 @@ struct Frontier {
   static Frontier decode(const core::LineParams& params, const util::BitString& bits,
                          std::size_t* consumed_bits = nullptr);
   static std::uint64_t encoded_bits(const core::LineParams& params);
+};
+
+/// Payload tags shared by the Line/SimLine strategies.
+enum class PayloadTag : std::uint64_t { kBlocks = 0, kFrontier = 1 };
+constexpr std::uint64_t kTagBits = 2;
+
+/// One machine's parsed blocks/frontier inbox.
+struct BlockInbox {
+  std::shared_ptr<const BlockSet> blocks;  ///< null when no blocks message arrived
+  util::BitString blocks_payload;          ///< the tagged blocks message, re-sent verbatim to self
+  std::optional<Frontier> frontier;        ///< the furthest copy received
+};
+
+/// The inbox parser of the blocks/frontier strategies. A machine's block
+/// payload is re-sent unchanged every round, so decoded sets are cached,
+/// keyed by the payload bits (a pure function of them — not cross-round
+/// state). A strategy owns one parser; the machines of a parallel round
+/// share it, so the cache is mutex-guarded.
+class BlockInboxParser {
+ public:
+  explicit BlockInboxParser(const core::LineParams& params) : params_(params) {}
+
+  /// Parse every message of `inbox`. Of several frontier copies the one
+  /// with the largest next_index wins (copies of one chain differ only in
+  /// how far they advanced). Throws std::invalid_argument on an unknown tag.
+  BlockInbox parse(const std::vector<mpc::Message>& inbox);
+
+ private:
+  std::shared_ptr<const BlockSet> decode_blocks(const util::BitString& payload);
+
+  core::LineParams params_;
+  std::mutex mu_;
+  std::unordered_map<util::BitString, std::shared_ptr<const BlockSet>, util::BitStringHash> cache_;
 };
 
 /// Deterministic block-ownership plans shared by the strategies.

@@ -8,7 +8,11 @@
 namespace mpch::strategies {
 
 ColludingStrategy::ColludingStrategy(const core::LineParams& params, OwnershipPlan plan)
-    : params_(params), codec_(params), plan_(std::move(plan)), machines_(plan_.machines()) {}
+    : params_(params),
+      codec_(params),
+      plan_(std::move(plan)),
+      machines_(plan_.machines()),
+      parser_(params) {}
 
 std::vector<util::BitString> ColludingStrategy::make_initial_memory(
     const core::LineInput& input) const {
@@ -55,60 +59,19 @@ analysis::ProtocolSpec ColludingStrategy::protocol_spec() const {
   return spec;
 }
 
-ColludingStrategy::ParsedInbox ColludingStrategy::parse_inbox(
-    const std::vector<mpc::Message>& inbox) {
-  ParsedInbox out;
-  for (const auto& msg : inbox) {
-    util::BitReader r(msg.payload);
-    auto tag = static_cast<PayloadTag>(r.read_uint(kTagBits));
-    if (tag == PayloadTag::kBlocks) {
-      out.blocks_payload = msg.payload;
-      std::uint64_t key = msg.payload.hash();
-      std::shared_ptr<const BlockSet> parsed;
-      {
-        std::lock_guard<std::mutex> lock(parse_cache_mu_);
-        auto it = parse_cache_.find(key);
-        if (it != parse_cache_.end()) parsed = it->second;
-      }
-      if (!parsed) {
-        // Decode outside the lock; if two machines race on the same payload
-        // the first emplace wins and both use the winner's parse.
-        util::BitString body = msg.payload.slice(kTagBits, msg.payload.size() - kTagBits);
-        parsed = std::make_shared<const BlockSet>(BlockSet::decode(params_, body));
-        std::lock_guard<std::mutex> lock(parse_cache_mu_);
-        parsed = parse_cache_.emplace(key, std::move(parsed)).first->second;
-      }
-      out.blocks = std::move(parsed);
-    } else if (tag == PayloadTag::kFrontier) {
-      util::BitString body = msg.payload.slice(kTagBits, msg.payload.size() - kTagBits);
-      Frontier f = Frontier::decode(params_, body);
-      // Keep the furthest copy (all advancing machines compute the same
-      // chain, so copies only differ if one machine advanced further).
-      if (!out.has_frontier || f.next_index > out.frontier.next_index) out.frontier = f;
-      out.has_frontier = true;
-    } else {
-      throw std::invalid_argument("ColludingStrategy: unknown payload tag");
-    }
-  }
-  return out;
-}
-
 void ColludingStrategy::run_machine(mpc::MachineIo& io, hash::CountingOracle* oracle,
                                     const mpc::SharedTape& /*tape*/, mpc::RoundTrace& trace) {
   if (oracle == nullptr) throw std::invalid_argument("ColludingStrategy requires an oracle");
-  ParsedInbox inbox = parse_inbox(*io.inbox);
+  BlockInbox inbox = parser_.parse(*io.inbox);
 
-  if (io.round == 0 && !inbox.has_frontier) {
+  if (io.round == 0 && !inbox.frontier) {
     // Public bootstrap: everyone knows ℓ_1 = 1, r_1 = 0^u.
-    inbox.has_frontier = true;
-    inbox.frontier.next_index = 1;
-    inbox.frontier.ell = 1;
-    inbox.frontier.r = util::BitString(params_.u);
+    inbox.frontier = Frontier{1, 1, util::BitString(params_.u)};
   }
 
   std::uint64_t advanced = 0;
-  if (inbox.has_frontier && inbox.blocks) {
-    Frontier f = inbox.frontier;
+  if (inbox.frontier && inbox.blocks) {
+    Frontier f = *inbox.frontier;
     util::BitString last_answer;
     bool have_answer = false;
     while (f.next_index <= params_.w && inbox.blocks->contains(f.ell) &&

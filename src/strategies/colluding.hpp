@@ -12,15 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "analysis/protocol_spec.hpp"
 #include "core/line.hpp"
 #include "mpc/simulation.hpp"
 #include "strategies/block_store.hpp"
-#include "strategies/pointer_chasing.hpp"
 
 namespace mpch::strategies {
 
@@ -45,21 +41,11 @@ class ColludingStrategy final : public mpc::MpcAlgorithm,
   analysis::ProtocolSpec protocol_spec() const override;
 
  private:
-  struct ParsedInbox {
-    std::shared_ptr<const BlockSet> blocks;
-    util::BitString blocks_payload;
-    bool has_frontier = false;
-    Frontier frontier;  // furthest frontier among received copies
-  };
-  ParsedInbox parse_inbox(const std::vector<mpc::Message>& inbox);
-
   core::LineParams params_;
   core::LineCodec codec_;
   OwnershipPlan plan_;
   std::uint64_t machines_;
-  // Mutex-guarded: machines of a parallel round share the strategy object.
-  std::mutex parse_cache_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const BlockSet>> parse_cache_;
+  BlockInboxParser parser_;  // keeps the furthest of the broadcast frontier copies
 };
 
 }  // namespace mpch::strategies

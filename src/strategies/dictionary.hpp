@@ -20,7 +20,6 @@
 #include "core/line.hpp"
 #include "mpc/simulation.hpp"
 #include "strategies/block_store.hpp"
-#include "strategies/pointer_chasing.hpp"
 
 namespace mpch::strategies {
 

@@ -15,7 +15,6 @@
 #include "core/line.hpp"
 #include "mpc/simulation.hpp"
 #include "strategies/block_store.hpp"
-#include "strategies/pointer_chasing.hpp"
 
 namespace mpch::strategies {
 

@@ -9,7 +9,7 @@ namespace mpch::strategies {
 
 PipelinedSimLineStrategy::PipelinedSimLineStrategy(const core::LineParams& params,
                                                    OwnershipPlan plan)
-    : params_(params), codec_(params), plan_(std::move(plan)) {}
+    : params_(params), codec_(params), plan_(std::move(plan)), parser_(params) {}
 
 std::vector<util::BitString> PipelinedSimLineStrategy::make_initial_memory(
     const core::LineInput& input) const {
@@ -95,60 +95,23 @@ analysis::ProtocolSpec PipelinedSimLineStrategy::protocol_spec() const {
   return spec;
 }
 
-PipelinedSimLineStrategy::ParsedInbox PipelinedSimLineStrategy::parse_inbox(
-    const std::vector<mpc::Message>& inbox) {
-  ParsedInbox out;
-  for (const auto& msg : inbox) {
-    util::BitReader r(msg.payload);
-    auto tag = static_cast<PayloadTag>(r.read_uint(kTagBits));
-    if (tag == PayloadTag::kBlocks) {
-      out.blocks_payload = msg.payload;
-      std::uint64_t key = msg.payload.hash();
-      std::shared_ptr<const BlockSet> parsed;
-      {
-        std::lock_guard<std::mutex> lock(parse_cache_mu_);
-        auto it = parse_cache_.find(key);
-        if (it != parse_cache_.end()) parsed = it->second;
-      }
-      if (!parsed) {
-        // Decode outside the lock; if two machines race on the same payload
-        // the first emplace wins and both use the winner's parse.
-        util::BitString body = msg.payload.slice(kTagBits, msg.payload.size() - kTagBits);
-        parsed = std::make_shared<const BlockSet>(BlockSet::decode(params_, body));
-        std::lock_guard<std::mutex> lock(parse_cache_mu_);
-        parsed = parse_cache_.emplace(key, std::move(parsed)).first->second;
-      }
-      out.blocks = std::move(parsed);
-    } else if (tag == PayloadTag::kFrontier) {
-      util::BitString body = msg.payload.slice(kTagBits, msg.payload.size() - kTagBits);
-      out.frontier = Frontier::decode(params_, body);
-      out.has_frontier = true;
-    } else {
-      throw std::invalid_argument("PipelinedSimLineStrategy: unknown payload tag");
-    }
-  }
-  return out;
-}
-
 void PipelinedSimLineStrategy::run_machine(mpc::MachineIo& io, hash::CountingOracle* oracle,
                                            const mpc::SharedTape& /*tape*/,
                                            mpc::RoundTrace& trace) {
   if (oracle == nullptr) {
     throw std::invalid_argument("PipelinedSimLineStrategy requires an oracle");
   }
-  ParsedInbox inbox = parse_inbox(*io.inbox);
+  BlockInbox inbox = parser_.parse(*io.inbox);
 
-  // Bootstrap: node 1 consumes block 1; its owner starts with r_1 = 0^u.
-  if (io.round == 0 && !inbox.has_frontier && inbox.blocks && plan_.owner_of(1) == io.machine) {
-    inbox.has_frontier = true;
-    inbox.frontier.next_index = 1;
-    inbox.frontier.ell = 1;  // scheduled block of node 1
-    inbox.frontier.r = util::BitString(params_.u);
+  // Bootstrap: node 1 consumes block 1 (its scheduled block); its owner
+  // starts with r_1 = 0^u.
+  if (io.round == 0 && !inbox.frontier && inbox.blocks && plan_.owner_of(1) == io.machine) {
+    inbox.frontier = Frontier{1, 1, util::BitString(params_.u)};
   }
 
   std::uint64_t advanced = 0;
-  if (inbox.has_frontier && inbox.blocks) {
-    Frontier f = inbox.frontier;
+  if (inbox.frontier && inbox.blocks) {
+    Frontier f = *inbox.frontier;
     util::BitString last_answer;
     bool have_answer = false;
     while (f.next_index <= params_.w && oracle->remaining_budget() > 0) {

@@ -11,15 +11,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "analysis/protocol_spec.hpp"
 #include "core/simline.hpp"
 #include "mpc/simulation.hpp"
 #include "strategies/block_store.hpp"
-#include "strategies/pointer_chasing.hpp"  // PayloadTag
 
 namespace mpch::strategies {
 
@@ -53,20 +49,10 @@ class PipelinedSimLineStrategy final : public mpc::MpcAlgorithm,
   analysis::ProtocolSpec protocol_spec() const override;
 
  private:
-  struct ParsedInbox {
-    std::shared_ptr<const BlockSet> blocks;
-    util::BitString blocks_payload;
-    bool has_frontier = false;
-    Frontier frontier;  // `ell` reused as the scheduled block index
-  };
-  ParsedInbox parse_inbox(const std::vector<mpc::Message>& inbox);
-
   core::LineParams params_;
   core::SimLineCodec codec_;
   OwnershipPlan plan_;
-  // Mutex-guarded: machines of a parallel round share the strategy object.
-  std::mutex parse_cache_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const BlockSet>> parse_cache_;
+  BlockInboxParser parser_;  // Frontier::ell carries the scheduled block index
 };
 
 }  // namespace mpch::strategies

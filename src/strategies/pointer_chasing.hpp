@@ -11,14 +11,11 @@
 //
 // All cross-round state is carried in messages (the model's discipline):
 // every machine re-sends its block set to itself each round; the frontier
-// travels to the next owner. Message payloads are tagged:
-//   [tag:2] 0 = block set, 1 = frontier.
+// travels to the next owner. Payloads use block_store.hpp's tagged
+// blocks/frontier format and are read back with its BlockInboxParser.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "analysis/protocol_spec.hpp"
 #include "core/line.hpp"
@@ -26,10 +23,6 @@
 #include "strategies/block_store.hpp"
 
 namespace mpch::strategies {
-
-/// Payload tags shared by the Line/SimLine strategies.
-enum class PayloadTag : std::uint64_t { kBlocks = 0, kFrontier = 1 };
-constexpr std::uint64_t kTagBits = 2;
 
 class PointerChasingStrategy final : public mpc::MpcAlgorithm,
                                      public analysis::ProtocolSpecProvider {
@@ -60,23 +53,10 @@ class PointerChasingStrategy final : public mpc::MpcAlgorithm,
   const OwnershipPlan& plan() const { return plan_; }
 
  private:
-  struct ParsedInbox {
-    std::shared_ptr<const BlockSet> blocks;
-    util::BitString blocks_payload;  // re-sent verbatim to self
-    bool has_frontier = false;
-    Frontier frontier;
-  };
-
-  ParsedInbox parse_inbox(const std::vector<mpc::Message>& inbox);
-
   core::LineParams params_;
   core::LineCodec codec_;
   OwnershipPlan plan_;
-  // Memoised parse of immutable block payloads (pure function of payload —
-  // not cross-round state, just a cache to keep long simulations fast).
-  // Mutex-guarded: machines of a parallel round share the strategy object.
-  std::mutex parse_cache_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const BlockSet>> parse_cache_;
+  BlockInboxParser parser_;
 };
 
 }  // namespace mpch::strategies

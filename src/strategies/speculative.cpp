@@ -12,7 +12,8 @@ SpeculativeStrategy::SpeculativeStrategy(const core::LineParams& params, Ownersh
       codec_(params),
       plan_(std::move(plan)),
       config_(config),
-      truth_(&truth) {}
+      truth_(&truth),
+      parser_(params) {}
 
 std::vector<util::BitString> SpeculativeStrategy::make_initial_memory(
     const core::LineInput& input) const {
@@ -60,56 +61,18 @@ analysis::ProtocolSpec SpeculativeStrategy::protocol_spec() const {
   return spec;
 }
 
-SpeculativeStrategy::ParsedInbox SpeculativeStrategy::parse_inbox(
-    const std::vector<mpc::Message>& inbox) {
-  ParsedInbox out;
-  for (const auto& msg : inbox) {
-    util::BitReader r(msg.payload);
-    auto tag = static_cast<PayloadTag>(r.read_uint(kTagBits));
-    if (tag == PayloadTag::kBlocks) {
-      out.blocks_payload = msg.payload;
-      std::uint64_t key = msg.payload.hash();
-      std::shared_ptr<const BlockSet> parsed;
-      {
-        std::lock_guard<std::mutex> lock(parse_cache_mu_);
-        auto it = parse_cache_.find(key);
-        if (it != parse_cache_.end()) parsed = it->second;
-      }
-      if (!parsed) {
-        // Decode outside the lock; if two machines race on the same payload
-        // the first emplace wins and both use the winner's parse.
-        util::BitString body = msg.payload.slice(kTagBits, msg.payload.size() - kTagBits);
-        parsed = std::make_shared<const BlockSet>(BlockSet::decode(params_, body));
-        std::lock_guard<std::mutex> lock(parse_cache_mu_);
-        parsed = parse_cache_.emplace(key, std::move(parsed)).first->second;
-      }
-      out.blocks = std::move(parsed);
-    } else if (tag == PayloadTag::kFrontier) {
-      util::BitString body = msg.payload.slice(kTagBits, msg.payload.size() - kTagBits);
-      out.frontier = Frontier::decode(params_, body);
-      out.has_frontier = true;
-    } else {
-      throw std::invalid_argument("SpeculativeStrategy: unknown payload tag");
-    }
-  }
-  return out;
-}
-
 void SpeculativeStrategy::run_machine(mpc::MachineIo& io, hash::CountingOracle* oracle,
                                       const mpc::SharedTape& tape, mpc::RoundTrace& trace) {
   if (oracle == nullptr) throw std::invalid_argument("SpeculativeStrategy requires an oracle");
-  ParsedInbox inbox = parse_inbox(*io.inbox);
+  BlockInbox inbox = parser_.parse(*io.inbox);
 
-  if (io.round == 0 && !inbox.has_frontier && inbox.blocks && plan_.owner_of(1) == io.machine) {
-    inbox.has_frontier = true;
-    inbox.frontier.next_index = 1;
-    inbox.frontier.ell = 1;
-    inbox.frontier.r = util::BitString(params_.u);
+  if (io.round == 0 && !inbox.frontier && inbox.blocks && plan_.owner_of(1) == io.machine) {
+    inbox.frontier = Frontier{1, 1, util::BitString(params_.u)};
   }
 
   std::uint64_t advanced = 0;
-  if (inbox.has_frontier && inbox.blocks) {
-    Frontier f = inbox.frontier;
+  if (inbox.frontier && inbox.blocks) {
+    Frontier f = *inbox.frontier;
     util::BitString last_answer;
     bool have_answer = false;
     bool stuck = false;

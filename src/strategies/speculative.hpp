@@ -21,14 +21,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 
 #include "analysis/protocol_spec.hpp"
 #include "core/input.hpp"
 #include "core/line.hpp"
 #include "mpc/simulation.hpp"
 #include "strategies/block_store.hpp"
-#include "strategies/pointer_chasing.hpp"
 
 namespace mpch::strategies {
 
@@ -62,14 +60,6 @@ class SpeculativeStrategy final : public mpc::MpcAlgorithm,
   std::uint64_t lucky_escapes() const { return lucky_escapes_.load(std::memory_order_relaxed); }
 
  private:
-  struct ParsedInbox {
-    std::shared_ptr<const BlockSet> blocks;
-    util::BitString blocks_payload;
-    bool has_frontier = false;
-    Frontier frontier;
-  };
-  ParsedInbox parse_inbox(const std::vector<mpc::Message>& inbox);
-
   core::LineParams params_;
   core::LineCodec codec_;
   OwnershipPlan plan_;
@@ -77,9 +67,7 @@ class SpeculativeStrategy final : public mpc::MpcAlgorithm,
   const core::LineInput* truth_;
   // Incremented by machines of a parallel round; relaxed is fine (counter).
   std::atomic<std::uint64_t> lucky_escapes_{0};
-  // Mutex-guarded: machines of a parallel round share the strategy object.
-  std::mutex parse_cache_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const BlockSet>> parse_cache_;
+  BlockInboxParser parser_;
 };
 
 }  // namespace mpch::strategies

@@ -23,6 +23,10 @@ namespace mpch::transport {
 
 namespace {
 
+/// Identical payloads from one sender to at least this many destinations
+/// ship as one broadcast frame fanned out via the router tree.
+constexpr std::size_t kBroadcastMinFanout = 4;
+
 [[noreturn]] void throw_errno(const std::string& what) {
   throw TransportError("socket transport: " + what + ": " + std::strerror(errno));
 }
@@ -166,19 +170,16 @@ struct Router {
   std::uint64_t groups = 0;
   std::uint64_t group_size = 0;
   std::uint64_t machines = 0;
-  std::uint64_t max_payload_bits = kDefaultMaxPayloadBits;
   int parent_fd = -1;
   std::vector<int> peer_fd;  ///< mesh channel per peer router; -1 for self
 
-  FrameDecoder parent_decoder{kDefaultMaxPayloadBits};
+  FrameDecoder parent_decoder;
   std::vector<FrameDecoder> peer_decoder;
 
   std::uint64_t group_of(std::uint64_t machine) const { return machine / group_size; }
 
   int run() {
-    parent_decoder = FrameDecoder(max_payload_bits);
-    peer_decoder.reserve(groups);
-    for (std::uint64_t p = 0; p < groups; ++p) peer_decoder.emplace_back(max_payload_bits);
+    peer_decoder.resize(groups);
     while (run_round()) {
     }
     return 0;
@@ -295,10 +296,7 @@ struct Router {
 }  // namespace
 
 SocketTransport::SocketTransport(const TransportOptions& options)
-    : requested_processes_(options.processes),
-      max_payload_bits_(options.max_payload_bits ? options.max_payload_bits
-                                                 : kDefaultMaxPayloadBits),
-      broadcast_min_fanout_(options.broadcast_min_fanout ? options.broadcast_min_fanout : 4) {}
+    : requested_processes_(options.processes) {}
 
 SocketTransport::~SocketTransport() { shutdown(); }
 
@@ -344,7 +342,6 @@ void SocketTransport::start(std::uint64_t machines) {
         router.groups = groups_;
         router.group_size = group_size_;
         router.machines = machines_;
-        router.max_payload_bits = max_payload_bits_;
         router.peer_fd.assign(groups_, -1);
         for (std::uint64_t h = 0; h < groups_; ++h) {
           ::close(parent_ch[h][0]);
@@ -382,7 +379,7 @@ void SocketTransport::start(std::uint64_t machines) {
   for (std::uint64_t g = 0; g < groups_; ++g) {
     ::close(parent_ch[g][1]);
     router_fds_.push_back(parent_ch[g][0]);
-    decoders_.emplace_back(max_payload_bits_);
+    decoders_.emplace_back();
   }
   for (std::uint64_t a = 0; a < groups_; ++a) {
     for (std::uint64_t b = a + 1; b < groups_; ++b) {
@@ -396,7 +393,7 @@ void SocketTransport::start(std::uint64_t machines) {
 void SocketTransport::send(std::uint64_t round, std::uint64_t from,
                            std::vector<mpc::Message> outbox) {
   if (!started_) throw TransportError("socket transport: send before start");
-  // Coalesce: identical payloads fanning out to >= broadcast_min_fanout_
+  // Coalesce: identical payloads fanning out to >= kBroadcastMinFanout
   // destinations become one kBroadcast frame (the routers replicate it along
   // the binomial tree); everything else ships as per-message data frames.
   std::map<util::BitString, std::vector<std::pair<std::uint64_t, std::uint64_t>>> by_payload;
@@ -406,7 +403,7 @@ void SocketTransport::send(std::uint64_t round, std::uint64_t from,
   std::vector<bool> coalesced(outbox.size(), false);
   std::vector<WireFrame> broadcasts;
   for (auto& [payload, fanout] : by_payload) {
-    if (fanout.size() < broadcast_min_fanout_) continue;
+    if (fanout.size() < kBroadcastMinFanout) continue;
     WireFrame frame;
     frame.type = FrameType::kBroadcast;
     frame.round = round;

@@ -79,8 +79,6 @@ class SocketTransport final : public Transport {
   void shutdown();
 
   std::uint64_t requested_processes_;
-  std::uint64_t max_payload_bits_;
-  std::uint64_t broadcast_min_fanout_;
   std::function<void(WireFrame&)> tamper_;
 
   std::uint64_t machines_ = 0;

@@ -65,13 +65,6 @@ struct TransportOptions {
   /// Socket backend: number of shard-group router processes. 0 = auto
   /// (min(machines, 2)); clamped to [1, machines].
   std::uint64_t processes = 0;
-  /// Frame decoder payload cap (see wire.hpp). Tests shrink it to exercise
-  /// the oversized-length-prefix gate without 8 MiB inputs.
-  std::uint64_t max_payload_bits = 0;  ///< 0 = kDefaultMaxPayloadBits
-  /// Socket backend: coalesce >= this many identical payloads from one
-  /// sender into a single broadcast frame fanned out via the router tree.
-  /// 0 = default (4).
-  std::uint64_t broadcast_min_fanout = 0;
 };
 
 class Transport {

@@ -25,21 +25,6 @@ namespace {
 
 core::LineParams params(std::uint64_t w = 64) { return core::LineParams::make(64, 16, 8, w); }
 
-/// The config a spec documents for itself: s covering the declared envelope,
-/// the declared round count, and the given q.
-mpc::MpcConfig documented(const ProtocolSpec& spec, std::uint64_t q) {
-  mpc::MpcConfig c;
-  c.machines = spec.machines;
-  c.max_rounds = spec.max_rounds;
-  c.query_budget = q;
-  for (std::uint64_t shape = 0; shape < spec.distinct_round_shapes(); ++shape) {
-    std::uint64_t round = shape < spec.prologue.size() ? shape : spec.prologue.size();
-    const RoundEnvelope& env = spec.envelope(round);
-    c.local_memory_bits = std::max({c.local_memory_bits, env.memory_bits, env.recv_bits});
-  }
-  return c;
-}
-
 const Diagnostic* find(const AnalysisReport& report, ViolationKind kind) {
   for (const auto& d : report.violations) {
     if (d.kind == kind) return &d;
@@ -70,7 +55,7 @@ TEST(StaticChecker, AllLineStrategiesPassTheirDocumentedConfig) {
       {batch.protocol_spec(), 4},
   };
   for (const auto& [spec, q] : cases) {
-    AnalysisReport report = check_spec(spec, documented(spec, q));
+    AnalysisReport report = check_spec(spec, documented_config(spec, q));
     EXPECT_TRUE(report.ok()) << report.format();
   }
 }
@@ -79,7 +64,7 @@ TEST(StaticChecker, RamEmulationPassesPlainModelWithZeroBudget) {
   strategies::RamEmulationStrategy ram({ram::asm_ops::halt()}, 4, 1, 8, 10);
   ProtocolSpec spec = ram.protocol_spec();
   EXPECT_FALSE(spec.needs_oracle);
-  AnalysisReport report = check_spec(spec, documented(spec, 0));
+  AnalysisReport report = check_spec(spec, documented_config(spec, 0));
   EXPECT_TRUE(report.ok()) << report.format();
 }
 
@@ -96,7 +81,7 @@ TEST(StaticChecker, RejectsMemoryOverflowWithProvenance) {
   core::LineParams p = params();
   strategies::FullMemoryStrategy full(p, strategies::OwnershipPlan::round_robin(p, 4));
   ProtocolSpec spec = full.protocol_spec();
-  mpc::MpcConfig c = documented(spec, p.w);
+  mpc::MpcConfig c = documented_config(spec, p.w);
   c.local_memory_bits = full.required_local_memory() - 1;
 
   AnalysisReport report = check_spec(spec, c);
@@ -116,7 +101,7 @@ TEST(StaticChecker, RejectsQueryBudgetOverflowForUnclampedProtocols) {
   core::LineParams p = params();
   strategies::FullMemoryStrategy full(p, strategies::OwnershipPlan::round_robin(p, 4));
   ProtocolSpec spec = full.protocol_spec();
-  mpc::MpcConfig c = documented(spec, p.w - 1);
+  mpc::MpcConfig c = documented_config(spec, p.w - 1);
 
   AnalysisReport report = check_spec(spec, c);
   ASSERT_FALSE(report.ok());
@@ -135,7 +120,7 @@ TEST(StaticChecker, ClampedProtocolsPassAnyPositiveBudget) {
   strategies::PointerChasingStrategy chase(p, strategies::OwnershipPlan::round_robin(p, 4));
   ProtocolSpec spec = chase.protocol_spec();
   EXPECT_TRUE(spec.clamps_queries_to_budget);
-  AnalysisReport report = check_spec(spec, documented(spec, 1));
+  AnalysisReport report = check_spec(spec, documented_config(spec, 1));
   EXPECT_TRUE(report.ok()) << report.format();
 }
 
@@ -146,7 +131,7 @@ TEST(StaticChecker, RejectsInboxOverflowWithProvenance) {
   core::LineParams p = params();
   strategies::DictionaryStrategy dict(p, 4);
   ProtocolSpec spec = dict.protocol_spec();
-  mpc::MpcConfig c = documented(spec, p.w);
+  mpc::MpcConfig c = documented_config(spec, p.w);
   c.local_memory_bits = spec.prologue[0].recv_bits - 1;
 
   AnalysisReport report = check_spec(spec, c);
@@ -164,7 +149,7 @@ TEST(StaticChecker, RejectsRoutingToNonexistentMachines) {
   core::LineParams p = params();
   strategies::PointerChasingStrategy chase(p, strategies::OwnershipPlan::round_robin(p, 8));
   ProtocolSpec spec = chase.protocol_spec();
-  mpc::MpcConfig c = documented(spec, 4);
+  mpc::MpcConfig c = documented_config(spec, 4);
   c.machines = 4;
 
   AnalysisReport report = check_spec(spec, c);
@@ -179,7 +164,7 @@ TEST(StaticChecker, RejectsRoundCountBlowup) {
   core::LineParams p = params(256);
   strategies::PointerChasingStrategy chase(p, strategies::OwnershipPlan::round_robin(p, 4));
   ProtocolSpec spec = chase.protocol_spec();
-  mpc::MpcConfig c = documented(spec, 4);
+  mpc::MpcConfig c = documented_config(spec, 4);
   c.max_rounds = 50;
 
   AnalysisReport report = check_spec(spec, c);
@@ -194,7 +179,7 @@ TEST(StaticChecker, RejectsOracleProtocolUnderZeroBudget) {
   core::LineParams p = params();
   strategies::PointerChasingStrategy chase(p, strategies::OwnershipPlan::round_robin(p, 4));
   ProtocolSpec spec = chase.protocol_spec();
-  AnalysisReport report = check_spec(spec, documented(spec, 0));
+  AnalysisReport report = check_spec(spec, documented_config(spec, 0));
   ASSERT_FALSE(report.ok());
   EXPECT_NE(find(report, ViolationKind::kOracleMissing), nullptr) << report.format();
 }
@@ -261,7 +246,7 @@ TEST(StaticChecker, OracleMissingDiagnosticExplainsItself) {
   core::LineParams p = params();
   strategies::PointerChasingStrategy chase(p, strategies::OwnershipPlan::round_robin(p, 4));
   ProtocolSpec spec = chase.protocol_spec();
-  AnalysisReport report = check_spec(spec, documented(spec, 0));
+  AnalysisReport report = check_spec(spec, documented_config(spec, 0));
   const Diagnostic* d = find(report, ViolationKind::kOracleMissing);
   ASSERT_NE(d, nullptr) << report.format();
   EXPECT_NE(d->message.find("oracle"), std::string::npos) << d->message;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 
 namespace mpch::strategies {
 namespace {
@@ -76,6 +77,78 @@ TEST(Frontier, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded.next_index, 57u);
   EXPECT_EQ(decoded.ell, 6u);
   EXPECT_EQ(decoded.r, f.r);
+}
+
+/// A tagged message of the blocks/frontier format.
+mpc::Message tagged(PayloadTag tag, const BitString& body) {
+  util::BitWriter w;
+  w.write_uint(static_cast<std::uint64_t>(tag), kTagBits);
+  w.write_bits(body);
+  return {0, 0, w.take()};
+}
+
+BitString random_blocks(const core::LineParams& p, std::uint64_t seed) {
+  util::Rng rng(seed);
+  BlockSet set(p);
+  for (std::uint64_t b = 1; b <= p.v; b += 2) {
+    set.add(b, BitString::random(p.u, [&] { return rng.next_u64(); }));
+  }
+  return set.encode();
+}
+
+Frontier frontier_at(const core::LineParams& p, std::uint64_t next_index) {
+  return Frontier{next_index, 3, BitString::from_uint(next_index, p.u)};
+}
+
+TEST(BlockInboxParser, FurthestFrontierWins) {
+  core::LineParams p = params();
+  BlockInboxParser parser(p);
+  for (bool furthest_first : {true, false}) {
+    std::vector<mpc::Message> inbox = {
+        tagged(PayloadTag::kFrontier, frontier_at(p, furthest_first ? 9 : 4).encode(p)),
+        tagged(PayloadTag::kFrontier, frontier_at(p, furthest_first ? 4 : 9).encode(p))};
+    BlockInbox parsed = parser.parse(inbox);
+    ASSERT_TRUE(parsed.frontier.has_value());
+    EXPECT_EQ(parsed.frontier->next_index, 9u);
+    EXPECT_EQ(parsed.frontier->r, BitString::from_uint(9, p.u));
+    EXPECT_EQ(parsed.blocks, nullptr);
+  }
+  EXPECT_FALSE(parser.parse({}).frontier.has_value());
+}
+
+TEST(BlockInboxParser, BlocksPayloadComesBackVerbatim) {
+  core::LineParams p = params();
+  BlockInboxParser parser(p);
+  BitString body = random_blocks(p, 3);
+  mpc::Message blocks = tagged(PayloadTag::kBlocks, body);
+  BlockInbox parsed =
+      parser.parse({tagged(PayloadTag::kFrontier, frontier_at(p, 2).encode(p)), blocks});
+  EXPECT_EQ(parsed.blocks_payload, blocks.payload);
+  ASSERT_NE(parsed.blocks, nullptr);
+  EXPECT_EQ(parsed.blocks->encode(), body);
+  ASSERT_TRUE(parsed.frontier.has_value());
+  EXPECT_EQ(parsed.frontier->next_index, 2u);
+}
+
+TEST(BlockInboxParser, RepeatedPayloadHitsTheCache) {
+  core::LineParams p = params();
+  BlockInboxParser parser(p);
+  mpc::Message a = tagged(PayloadTag::kBlocks, random_blocks(p, 5));
+  mpc::Message b = tagged(PayloadTag::kBlocks, random_blocks(p, 6));
+  auto first = parser.parse({a}).blocks;
+  EXPECT_EQ(parser.parse({a}).blocks, first);  // the same cached BlockSet
+  auto other = parser.parse({b}).blocks;
+  ASSERT_NE(other, nullptr);
+  EXPECT_NE(other, first);
+  EXPECT_NE(other->encode(), first->encode());
+  EXPECT_EQ(parser.parse({a}).blocks, first);
+}
+
+TEST(BlockInboxParser, UnknownTagThrows) {
+  core::LineParams p = params();
+  BlockInboxParser parser(p);
+  EXPECT_THROW(parser.parse({{0, 0, BitString::from_uint(2, kTagBits)}}), std::invalid_argument);
+  EXPECT_THROW(parser.parse({{0, 0, BitString::from_uint(3, kTagBits)}}), std::invalid_argument);
 }
 
 TEST(OwnershipPlan, RoundRobinCoversAllBlocks) {

@@ -3,7 +3,8 @@
 // corruption class (magic, version, length, checksum, truncation, trailing
 // bits) is rejected with a diagnostic naming what failed, file round-trips
 // survive, and make_resume_state re-verifies the oracle memo against the
-// supplied oracle's seed.
+// supplied oracle's seed. Checkpoints captured at every round boundary of
+// every registry scenario serialise byte-identically at any thread count.
 #include "fault/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <string>
 
 #include "hash/random_oracle.hpp"
+#include "serve/scenario.hpp"
 #include "util/serialize.hpp"
 
 namespace mpch {
@@ -195,6 +197,46 @@ TEST(Checkpoint, InconsistentInboxCountIsRejected) {
   Checkpoint cp = sample_checkpoint();
   cp.inboxes.pop_back();
   EXPECT_THROW(fault::deserialize(fault::serialize(cp)), CheckpointError);
+}
+
+/// Serialises a checkpoint at every round boundary of one execution.
+class CaptureEveryRound final : public mpc::RoundObserver {
+ public:
+  CaptureEveryRound(const mpc::MpcConfig& config, const hash::LazyRandomOracle* oracle)
+      : config_(config), oracle_(oracle) {}
+
+  void after_round(const mpc::RoundSnapshot& snapshot) override {
+    snapshots.push_back(fault::serialize(fault::capture(snapshot, config_, oracle_)));
+  }
+
+  std::vector<BitString> snapshots;
+
+ private:
+  mpc::MpcConfig config_;
+  const hash::LazyRandomOracle* oracle_;
+};
+
+std::vector<BitString> checkpoint_every_round(const std::string& name, std::uint64_t threads) {
+  serve::Scenario s = serve::make_scenario(name, 3, threads);
+  auto oracle = s.make_oracle();
+  CaptureEveryRound capture(s.config, oracle.get());
+  mpc::MpcSimulation sim(s.config, oracle);
+  EXPECT_TRUE(sim.run(*s.algo, s.initial, &capture).completed) << name;
+  return capture.snapshots;
+}
+
+TEST(Checkpoint, EveryRoundBoundaryIsByteIdenticalAcrossThreadCounts) {
+  // The run transcript is written in machine index order at every barrier,
+  // so a mid-run capture needs no reordering at any thread count.
+  for (const std::string& name : serve::strategy_names()) {
+    std::vector<BitString> serial = checkpoint_every_round(name, 1);
+    std::vector<BitString> parallel = checkpoint_every_round(name, 8);
+    ASSERT_FALSE(serial.empty()) << name;
+    ASSERT_EQ(serial.size(), parallel.size()) << name;
+    for (std::size_t round = 0; round < serial.size(); ++round) {
+      EXPECT_EQ(serial[round], parallel[round]) << name << " round " << round;
+    }
+  }
 }
 
 }  // namespace

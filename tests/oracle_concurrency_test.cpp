@@ -5,9 +5,9 @@
 // isolation: (1) LazyRandomOracle's memo is interleaving-independent — the
 // materialised sub-function after a concurrent storm equals a serial replay
 // of the same query set, and total_queries() is exact; (2) per-machine
-// CountingOracles over one shared RO + one shared transcript preserve exact
-// per-machine seq numbering, so sort_canonical() reconstructs the serial
-// transcript; (3) budget overruns throw deterministically at the same query
+// CountingOracles over one shared RO, each recording into its own log, give
+// logs that — appended in machine index order at every round barrier, as
+// the simulation does — equal the serial transcript; (3) budget overruns throw deterministically at the same query
 // index regardless of what other threads are doing.
 #include "hash/oracle_transcript.hpp"
 #include "hash/random_oracle.hpp"
@@ -60,20 +60,23 @@ TEST(OracleConcurrency, LazyMemoMatchesSerialReplay) {
   }
 }
 
-TEST(OracleConcurrency, CountingOraclesRebuildSerialTranscript) {
+TEST(OracleConcurrency, PerMachineLogsMergeToSerialTranscript) {
   auto inner = std::make_shared<LazyRandomOracle>(kBits, kBits, 7);
-  auto transcript = std::make_shared<OracleTranscript>();
+  OracleTranscript transcript;
   const std::uint64_t kMachines = kThreads;
   const std::uint64_t kPerRound = 64;
   const std::uint64_t kRounds = 3;
 
+  std::vector<std::shared_ptr<OracleTranscript>> logs;
   std::vector<std::unique_ptr<CountingOracle>> oracles;
   for (std::uint64_t m = 0; m < kMachines; ++m) {
-    oracles.push_back(std::make_unique<CountingOracle>(inner, m, kPerRound, transcript));
+    logs.push_back(std::make_shared<OracleTranscript>());
+    oracles.push_back(std::make_unique<CountingOracle>(inner, m, kPerRound, logs.back()));
   }
 
   // Round structure mirrors the simulation: begin_round on all machines,
-  // then one thread per machine issuing its round's queries concurrently.
+  // one thread per machine issuing its round's queries concurrently, then
+  // the barrier appends the logs in machine index order.
   for (std::uint64_t round = 0; round < kRounds; ++round) {
     for (auto& o : oracles) o->begin_round(round);
     std::vector<std::thread> threads;
@@ -86,8 +89,11 @@ TEST(OracleConcurrency, CountingOraclesRebuildSerialTranscript) {
       });
     }
     for (auto& th : threads) th.join();
+    for (auto& log : logs) {
+      transcript.append(*log);
+      EXPECT_EQ(log->size(), 0u);
+    }
   }
-  transcript->sort_canonical();
 
   // Serial replay with the same per-machine query program.
   auto inner2 = std::make_shared<LazyRandomOracle>(kBits, kBits, 7);
@@ -106,8 +112,8 @@ TEST(OracleConcurrency, CountingOraclesRebuildSerialTranscript) {
   }
 
   EXPECT_EQ(inner->total_queries(), kMachines * kPerRound * kRounds);
-  ASSERT_EQ(transcript->size(), expected->size());
-  const auto& got = transcript->records();
+  ASSERT_EQ(transcript.size(), expected->size());
+  const auto& got = transcript.records();
   const auto& want = expected->records();
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].round, want[i].round) << i;

@@ -380,13 +380,12 @@ TEST(SocketTransportTest, DeliversAcrossRouterProcessesOverMultipleRounds) {
 }
 
 TEST(SocketTransportTest, CoalescedBroadcastReachesEveryDestination) {
-  // One payload to five destinations with broadcast_min_fanout = 2: the
+  // One payload to five destinations (the coalescing threshold is four): the
   // parent ships a single kBroadcast frame and the binomial dissemination
   // replicates it across three router groups (odd G: the dedup path).
   if (skip_socket_backend()) GTEST_SKIP() << "MPCH_SKIP_SOCKET_TRANSPORT set";
   transport::TransportOptions options;
   options.processes = 3;
-  options.broadcast_min_fanout = 2;
   transport::SocketTransport t(options);
   t.start(6);
   ASSERT_EQ(t.router_count(), 3u);

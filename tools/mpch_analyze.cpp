@@ -55,24 +55,6 @@ struct Target {
   std::string note;  ///< provenance of the spec (e.g. statically derived hints)
 };
 
-/// The documented MpcConfig for a spec: exactly the envelope the strategy
-/// declares (s = worst memory/delivery, q as given, rounds = declared), so
-/// check_spec passes by construction until a CLI override shrinks it.
-mpc::MpcConfig documented_config(const analysis::ProtocolSpec& spec, std::uint64_t q) {
-  mpc::MpcConfig c;
-  c.machines = spec.machines;
-  c.max_rounds = spec.max_rounds;
-  c.query_budget = q;
-  std::uint64_t s = 0;
-  for (std::uint64_t shape = 0; shape < spec.distinct_round_shapes(); ++shape) {
-    std::uint64_t round = shape < spec.prologue.size() ? shape : spec.prologue.size();
-    const analysis::RoundEnvelope& env = spec.envelope(round);
-    s = std::max({s, env.memory_bits, env.recv_bits});
-  }
-  c.local_memory_bits = s;
-  return c;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -181,7 +163,7 @@ int main(int argc, char** argv) {
     // Under --authenticate the declared envelope must absorb the per-message
     // tag the runtime meters, and the documented config follows suit.
     if (authenticate) spec = spec.with_authentication(mpc::kMessageTagBits);
-    targets.push_back({spec.protocol, spec, documented_config(spec, q), std::move(run), {}});
+    targets.push_back({spec.protocol, spec, analysis::documented_config(spec, q), std::move(run), {}});
   };
   add(chase.protocol_spec(), 4, line_run(chase, [&] { return chase.make_initial_memory(input); },
                                          true));

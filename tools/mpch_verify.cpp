@@ -35,23 +35,6 @@ using namespace mpch;
 
 namespace {
 
-/// MpcConfig sized exactly to a spec (mirrors mpch-analyze's documented
-/// config): s = worst declared memory/delivery, rounds = declared bound.
-mpc::MpcConfig config_for(const analysis::ProtocolSpec& spec) {
-  mpc::MpcConfig c;
-  c.machines = spec.machines;
-  c.max_rounds = spec.max_rounds;
-  c.query_budget = 0;  // RAM emulation is plain-model
-  std::uint64_t s = 0;
-  for (std::uint64_t shape = 0; shape < spec.distinct_round_shapes(); ++shape) {
-    const std::uint64_t round = shape < spec.prologue.size() ? shape : spec.prologue.size();
-    const analysis::RoundEnvelope& env = spec.envelope(round);
-    s = std::max({s, env.memory_bits, env.recv_bits});
-  }
-  c.local_memory_bits = s;
-  return c;
-}
-
 /// The sandwich's lower half: emulate the program under MPC with the
 /// inferred spec's config and assert every observed RoundStats peak fits
 /// under the inferred envelope; also confirm the emulated final state
@@ -69,7 +52,7 @@ bool cross_check(const ram::programs::NamedProgram& entry, const verify::Program
   strategies::RamEmulationStrategy strategy(entry.program, inferred.spec.machines,
                                             entry.steps_per_round, inferred.memory_words,
                                             inferred.max_steps);
-  const mpc::MpcConfig config = config_for(inferred.spec);
+  const mpc::MpcConfig config = analysis::documented_config(inferred.spec, 0);  // RAM emulation is plain-model
   mpc::MpcSimulation sim(config, nullptr);
   mpc::MpcRunResult result = sim.run(strategy, strategy.make_initial_memory(entry.memory));
   if (!result.completed) {
