@@ -40,8 +40,9 @@ std::vector<util::BitString> BatchPointerChasingStrategy::make_initial_memory(
       shares[j] += w.take();
     }
   }
-  // Shares are concatenations of per-instance payloads; re-split on parse by
-  // framing: simpler to deliver one message per instance instead.
+  // Round 0 delivers one message per machine, so each share concatenates its
+  // per-instance records; they are self-delimiting, and run_machine's parse
+  // loop splits them again.
   return shares;
 }
 
@@ -166,11 +167,7 @@ void BatchPointerChasingStrategy::run_machine(mpc::MachineIo& io, hash::Counting
   // Bootstrap every instance whose first block we own.
   if (io.round == 0 && plan_.owner_of(1) == io.machine) {
     for (std::uint64_t inst = 0; inst < instances_; ++inst) {
-      Frontier f;
-      f.next_index = 1;
-      f.ell = 1;
-      f.r = util::BitString(params_.u);
-      frontiers.emplace(inst, f);
+      frontiers.emplace(inst, Frontier{1, 1, util::BitString(params_.u)});
     }
   }
 
@@ -179,24 +176,13 @@ void BatchPointerChasingStrategy::run_machine(mpc::MachineIo& io, hash::Counting
   for (auto& [inst, f] : frontiers) {
     auto bit = blocks.find(inst);
     if (bit == blocks.end()) continue;
-    const BlockSet& own = bit->second.second;
-    util::BitString last_answer;
-    bool have_answer = false;
-    while (f.next_index <= params_.w && own.contains(f.ell) &&
-           oracle->remaining_budget() > 0) {
-      last_answer = oracle->query(codec_.encode_query(f.next_index, *own.find(f.ell), f.r));
-      have_answer = true;
-      core::LineAnswer a = codec_.decode_answer(last_answer);
-      f.next_index += 1;
-      f.ell = a.ell;
-      f.r = a.r;
-      ++advanced;
-    }
-    if (f.next_index > params_.w && have_answer) {
+    WalkRun run = walk_owned(codec_, bit->second.second, f, *oracle);
+    advanced += run.advanced;
+    if (f.next_index > params_.w && run.advanced > 0) {
       util::BitWriter w;
       w.write_uint(kDoneTag, kTagBits);
       w.write_uint(inst, kInstBits);
-      w.write_bits(last_answer);
+      w.write_bits(run.last_answer);
       io.send(0, w.take());
     } else {
       auto owner = plan_.owner_of(f.ell);

@@ -194,4 +194,73 @@ std::uint64_t OwnershipPlan::heaviest_machine() const {
   return best;
 }
 
+std::vector<util::BitString> block_shares(const core::LineParams& params, const OwnershipPlan& plan,
+                                          const core::LineInput& input) {
+  std::vector<util::BitString> shares;
+  shares.reserve(plan.machines());
+  for (std::uint64_t j = 0; j < plan.machines(); ++j) {
+    BlockSet set(params);
+    for (std::uint64_t b : plan.owned_by(j)) set.add(b, input.block(b));
+    util::BitWriter w;
+    w.write_uint(static_cast<std::uint64_t>(PayloadTag::kBlocks), kTagBits);
+    w.write_bits(set.encode());
+    shares.push_back(w.take());
+  }
+  return shares;
+}
+
+util::BitString frontier_message(const core::LineParams& params, const Frontier& frontier) {
+  util::BitWriter w;
+  w.write_uint(static_cast<std::uint64_t>(PayloadTag::kFrontier), kTagBits);
+  w.write_bits(frontier.encode(params));
+  return w.take();
+}
+
+WalkRun walk_owned(const core::LineCodec& codec, const BlockSet& blocks, Frontier& frontier,
+                   hash::CountingOracle& oracle) {
+  const std::uint64_t w = codec.params().w;
+  WalkRun run;
+  const util::BitString* x = nullptr;
+  while (frontier.next_index <= w && (x = blocks.find(frontier.ell)) != nullptr &&
+         oracle.remaining_budget() > 0) {
+    run.last_answer = oracle.query(codec.encode_query(frontier.next_index, *x, frontier.r));
+    core::LineAnswer a = codec.decode_answer(run.last_answer);
+    frontier.next_index += 1;
+    frontier.ell = a.ell;
+    frontier.r = std::move(a.r);
+    ++run.advanced;
+  }
+  return run;
+}
+
+std::uint64_t walk_memory_bits(const core::LineParams& params, const OwnershipPlan& plan,
+                               std::uint64_t frontier_copies) {
+  return kTagBits + BlockSet::encoded_bits(params, plan.max_owned()) +
+         frontier_copies * (kTagBits + Frontier::encoded_bits(params));
+}
+
+analysis::ProtocolSpec walk_spec(const std::string& name, const core::LineParams& params,
+                                 const OwnershipPlan& plan, std::uint64_t frontier_copies,
+                                 std::uint64_t oracle_queries) {
+  const std::uint64_t memory_bits = walk_memory_bits(params, plan, frontier_copies);
+  const std::uint64_t blocks_bits = kTagBits + BlockSet::encoded_bits(params, plan.max_owned());
+  const std::uint64_t frontier_bits = kTagBits + Frontier::encoded_bits(params);
+  // Once bootstrapped, every round advances the frontier by >= 1 node (a
+  // hand-off goes to an owner of the missing block): at most w rounds.
+  return {.protocol = name,
+          .machines = plan.machines(),
+          .max_rounds = params.w,
+          .needs_oracle = true,
+          .clamps_queries_to_budget = true,
+          .prologue = {},
+          .steady = {.memory_bits = memory_bits,
+                     .oracle_queries = oracle_queries,
+                     .fan_out = 1 + frontier_copies,  // blocks-to-self + the frontier copies
+                     .fan_in = 1 + frontier_copies,
+                     .sent_bits = memory_bits,
+                     .recv_bits = memory_bits,
+                     .max_message_bits = std::max(blocks_bits, frontier_bits),
+                     .witness_machine = plan.heaviest_machine()}};
+}
+
 }  // namespace mpch::strategies

@@ -1,4 +1,5 @@
-// block_store.hpp — how MPC machines carry input blocks in messages.
+// block_store.hpp — how MPC machines carry input blocks in messages, and
+// the one walk the Line/SimLine strategies share.
 //
 // The model forces every bit of cross-round state through messages, so the
 // strategies need a canonical wire format for "a set of tagged input blocks"
@@ -12,9 +13,14 @@
 // σ·(ell_bits + u) bits of its s-bit memory, which is the "a machine can
 // only store a constant fraction of x_i's" mechanism of the lower bound.
 //
-// The Line/SimLine strategies (pointer-chasing, pipelined-simline,
-// speculative, colluding) send exactly two message kinds, each one record
-// behind a tag, and read their inboxes with the one BlockInboxParser below:
+// The Line/SimLine walkers (pointer-chasing, pipelined-simline, speculative,
+// colluding) are one walk (Section 3; Theorem A.1 for SimLine): the frontier
+// (i, ℓ_i, r_i) advances while its carrier holds x_ℓ, and they differ only
+// at a miss — a hand-off, a broadcast, a guess, or a step along the public
+// `i mod v` schedule. They send exactly two message kinds, each one record
+// behind a tag, and share what follows: BlockInboxParser, the round-0 share
+// builder, the advance loop (walk_owned; Line codec only), the frontier
+// writer, and the declared memory and envelope (walk_spec).
 //
 //   [tag:2 = kBlocks][BlockSet]     (to self: the machine's own blocks)
 //   [tag:2 = kFrontier][Frontier]   (the walk hand-off)
@@ -24,10 +30,15 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "analysis/protocol_spec.hpp"
+#include "core/codec.hpp"
+#include "core/input.hpp"
 #include "core/params.hpp"
+#include "hash/oracle_transcript.hpp"
 #include "mpc/message.hpp"
 #include "util/bitstring.hpp"
 
@@ -146,5 +157,38 @@ class OwnershipPlan {
   std::vector<std::vector<std::uint64_t>> owners_;           // machine -> blocks
   std::unordered_map<std::uint64_t, std::uint64_t> lookup_;  // block -> some owner
 };
+
+/// Round-0 share of every machine under `plan`: machine j gets
+/// [kBlocks][BlockSet of plan.owned_by(j)].
+std::vector<util::BitString> block_shares(const core::LineParams& params, const OwnershipPlan& plan,
+                                          const core::LineInput& input);
+
+/// The frontier hand-off message [kFrontier][Frontier].
+util::BitString frontier_message(const core::LineParams& params, const Frontier& frontier);
+
+/// What one walk_owned call did.
+struct WalkRun {
+  std::uint64_t advanced = 0;   ///< nodes evaluated (one oracle query each)
+  util::BitString last_answer;  ///< answer of the last query; empty if advanced == 0
+};
+
+/// Advance `frontier` along the Line chain while the needed block x_ℓ is in
+/// `blocks`, the chain is unfinished (i <= w) and the round's query budget
+/// remains. On return the frontier names the first node not evaluated.
+WalkRun walk_owned(const core::LineCodec& codec, const BlockSet& blocks, Frontier& frontier,
+                   hash::CountingOracle& oracle);
+
+/// Local memory (bits) of one tagged block set of plan.max_owned() blocks
+/// plus `frontier_copies` tagged frontiers.
+std::uint64_t walk_memory_bits(const core::LineParams& params, const OwnershipPlan& plan,
+                               std::uint64_t frontier_copies);
+
+/// Declared envelope of a blocks/frontier walker: walk_memory_bits of
+/// memory, sent and received; fan-in/out 1 + frontier_copies (blocks-to-self
+/// plus the frontier copies); up to `oracle_queries` budget-clamped queries
+/// per round; at most w rounds; witnessed by the heaviest machine.
+analysis::ProtocolSpec walk_spec(const std::string& name, const core::LineParams& params,
+                                 const OwnershipPlan& plan, std::uint64_t frontier_copies,
+                                 std::uint64_t oracle_queries);
 
 }  // namespace mpch::strategies

@@ -1,62 +1,24 @@
 #include "strategies/colluding.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-
-#include "util/serialize.hpp"
 
 namespace mpch::strategies {
 
 ColludingStrategy::ColludingStrategy(const core::LineParams& params, OwnershipPlan plan)
-    : params_(params),
-      codec_(params),
-      plan_(std::move(plan)),
-      machines_(plan_.machines()),
-      parser_(params) {}
+    : params_(params), codec_(params), plan_(std::move(plan)), parser_(params) {}
 
 std::vector<util::BitString> ColludingStrategy::make_initial_memory(
     const core::LineInput& input) const {
-  std::vector<util::BitString> shares;
-  shares.reserve(machines_);
-  for (std::uint64_t j = 0; j < machines_; ++j) {
-    BlockSet set(params_);
-    for (std::uint64_t b : plan_.owned_by(j)) set.add(b, input.block(b));
-    util::BitWriter w;
-    w.write_uint(static_cast<std::uint64_t>(PayloadTag::kBlocks), kTagBits);
-    w.write_bits(set.encode());
-    shares.push_back(w.take());
-  }
-  return shares;
+  return block_shares(params_, plan_, input);
 }
 
 std::uint64_t ColludingStrategy::required_local_memory() const {
-  return kTagBits + BlockSet::encoded_bits(params_, plan_.max_owned()) +
-         machines_ * (kTagBits + Frontier::encoded_bits(params_));
+  return walk_memory_bits(params_, plan_, plan_.machines());
 }
 
 analysis::ProtocolSpec ColludingStrategy::protocol_spec() const {
-  const std::uint64_t blocks_bits =
-      kTagBits + BlockSet::encoded_bits(params_, plan_.max_owned());
-  const std::uint64_t frontier_bits = kTagBits + Frontier::encoded_bits(params_);
-
-  analysis::ProtocolSpec spec;
-  spec.protocol = name();
-  spec.machines = machines_;
-  spec.max_rounds = params_.w;
-  spec.needs_oracle = true;
-  spec.clamps_queries_to_budget = true;
-
-  analysis::RoundEnvelope env;
-  env.memory_bits = required_local_memory();
-  env.oracle_queries = params_.w;
-  env.fan_out = 1 + machines_;  // blocks-to-self + frontier broadcast to all m
-  env.fan_in = 1 + machines_;   // own blocks + a frontier copy from every machine
-  env.sent_bits = blocks_bits + machines_ * frontier_bits;
-  env.recv_bits = required_local_memory();
-  env.max_message_bits = std::max(blocks_bits, frontier_bits);
-  env.witness_machine = plan_.heaviest_machine();
-  spec.steady = env;
-  return spec;
+  // One frontier copy to and from every machine.
+  return walk_spec(name(), params_, plan_, plan_.machines(), params_.w);
 }
 
 void ColludingStrategy::run_machine(mpc::MachineIo& io, hash::CountingOracle* oracle,
@@ -71,31 +33,17 @@ void ColludingStrategy::run_machine(mpc::MachineIo& io, hash::CountingOracle* or
 
   std::uint64_t advanced = 0;
   if (inbox.frontier && inbox.blocks) {
-    Frontier f = *inbox.frontier;
-    util::BitString last_answer;
-    bool have_answer = false;
-    while (f.next_index <= params_.w && inbox.blocks->contains(f.ell) &&
-           oracle->remaining_budget() > 0) {
-      util::BitString query = codec_.encode_query(f.next_index, *inbox.blocks->find(f.ell), f.r);
-      last_answer = oracle->query(query);
-      have_answer = true;
-      core::LineAnswer a = codec_.decode_answer(last_answer);
-      f.next_index += 1;
-      f.ell = a.ell;
-      f.r = a.r;
-      ++advanced;
-    }
+    Frontier& f = *inbox.frontier;
+    WalkRun run = walk_owned(codec_, *inbox.blocks, f, *oracle);
+    advanced = run.advanced;
 
-    if (f.next_index > params_.w && have_answer) {
-      io.output = last_answer;
+    if (f.next_index > params_.w && advanced > 0) {
+      io.output = std::move(run.last_answer);
     } else if (advanced > 0 || io.round == 0) {
       // Broadcast the (possibly unchanged) frontier to everyone; machines
       // that could not advance stay silent to avoid flooding stale copies.
-      util::BitWriter w;
-      w.write_uint(static_cast<std::uint64_t>(PayloadTag::kFrontier), kTagBits);
-      w.write_bits(f.encode(params_));
-      util::BitString payload = w.take();
-      for (std::uint64_t j = 0; j < machines_; ++j) io.send(j, payload);
+      util::BitString payload = frontier_message(params_, f);
+      for (std::uint64_t j = 0; j < plan_.machines(); ++j) io.send(j, payload);
     }
   }
   trace.annotate("advance", advanced);

@@ -8,7 +8,8 @@
 // work). Round counts are provably identical — the frontier still advances
 // by one geometric run per round — while communication inflates by a factor
 // m. Experiment E17 measures both, demonstrating that the bound is about
-// local memory, not about who talks to whom.
+// local memory, not about who talks to whom. The walk is block_store.hpp's
+// shared core; the miss rule here is the broadcast.
 #pragma once
 
 #include <cstdint>
@@ -35,16 +36,16 @@ class ColludingStrategy final : public mpc::MpcAlgorithm,
   /// Inbox worst case: own blocks + one frontier from every machine.
   std::uint64_t required_local_memory() const;
 
-  /// Declared envelope: the broadcast pattern inflates fan-in/out to m+1
-  /// (blocks-to-self + one frontier copy per machine) while the round count
-  /// stays at w — the communication-vs-rounds contrast in spec form.
+  /// Declared envelope: walk_spec with m frontier copies — the broadcast
+  /// inflates fan-in/out to m+1 (blocks-to-self + one frontier copy per
+  /// machine) while the round count stays at w, the communication-vs-rounds
+  /// contrast in spec form.
   analysis::ProtocolSpec protocol_spec() const override;
 
  private:
   core::LineParams params_;
   core::LineCodec codec_;
   OwnershipPlan plan_;
-  std::uint64_t machines_;
   BlockInboxParser parser_;  // keeps the furthest of the broadcast frontier copies
 };
 

@@ -11,17 +11,7 @@ FullMemoryStrategy::FullMemoryStrategy(const core::LineParams& params, Ownership
 
 std::vector<util::BitString> FullMemoryStrategy::make_initial_memory(
     const core::LineInput& input) const {
-  std::vector<util::BitString> shares;
-  shares.reserve(plan_.machines());
-  for (std::uint64_t j = 0; j < plan_.machines(); ++j) {
-    BlockSet set(params_);
-    for (std::uint64_t b : plan_.owned_by(j)) set.add(b, input.block(b));
-    util::BitWriter w;
-    w.write_uint(static_cast<std::uint64_t>(PayloadTag::kBlocks), kTagBits);
-    w.write_bits(set.encode());
-    shares.push_back(w.take());
-  }
-  return shares;
+  return block_shares(params_, plan_, input);
 }
 
 std::uint64_t FullMemoryStrategy::required_local_memory() const {

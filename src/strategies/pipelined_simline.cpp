@@ -3,9 +3,41 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/serialize.hpp"
-
 namespace mpch::strategies {
+
+namespace {
+
+/// The owned runs of the public schedule over nodes 1..w: how many there
+/// are (one per round) and the longest (the per-round advance bound).
+struct OwnedRuns {
+  std::uint64_t count = 0;
+  std::uint64_t longest = 0;
+};
+
+OwnedRuns owned_runs(const core::LineParams& params, const OwnershipPlan& plan) {
+  // Simulate the hand-off schedule without touching the oracle: starting at
+  // node 1, each round covers the maximal run of scheduled blocks owned by
+  // one machine. O(w), like the schedule itself.
+  OwnedRuns runs;
+  std::uint64_t i = 1;
+  while (i <= params.w) {
+    const std::uint64_t block = (i - 1) % params.v + 1;
+    auto owner = plan.owner_of(block);
+    if (!owner.has_value()) {
+      throw std::logic_error("PipelinedSimLineStrategy: uncovered block " + std::to_string(block));
+    }
+    std::uint64_t run = 0;
+    while (i <= params.w && plan.owner_of((i - 1) % params.v + 1) == owner) {
+      ++i;
+      ++run;
+    }
+    ++runs.count;
+    runs.longest = std::max(runs.longest, run);
+  }
+  return runs;
+}
+
+}  // namespace
 
 PipelinedSimLineStrategy::PipelinedSimLineStrategy(const core::LineParams& params,
                                                    OwnershipPlan plan)
@@ -13,86 +45,23 @@ PipelinedSimLineStrategy::PipelinedSimLineStrategy(const core::LineParams& param
 
 std::vector<util::BitString> PipelinedSimLineStrategy::make_initial_memory(
     const core::LineInput& input) const {
-  std::vector<util::BitString> shares;
-  shares.reserve(plan_.machines());
-  for (std::uint64_t j = 0; j < plan_.machines(); ++j) {
-    BlockSet set(params_);
-    for (std::uint64_t b : plan_.owned_by(j)) set.add(b, input.block(b));
-    util::BitWriter w;
-    w.write_uint(static_cast<std::uint64_t>(PayloadTag::kBlocks), kTagBits);
-    w.write_bits(set.encode());
-    shares.push_back(w.take());
-  }
-  return shares;
+  return block_shares(params_, plan_, input);
 }
 
 std::uint64_t PipelinedSimLineStrategy::required_local_memory() const {
-  return kTagBits + BlockSet::encoded_bits(params_, plan_.max_owned()) + kTagBits +
-         Frontier::encoded_bits(params_);
+  return walk_memory_bits(params_, plan_, 1);
 }
 
 std::uint64_t PipelinedSimLineStrategy::predicted_rounds() const {
-  // Simulate the hand-off schedule without touching the oracle: starting at
-  // node 1, each round covers the maximal run of consecutively owned blocks.
-  std::uint64_t rounds = 0;
-  std::uint64_t i = 1;
-  while (i <= params_.w) {
-    std::uint64_t block = (i - 1) % params_.v + 1;
-    auto owner = plan_.owner_of(block);
-    if (!owner.has_value()) throw std::logic_error("predicted_rounds: uncovered block");
-    ++rounds;
-    // Advance while this machine owns the scheduled block.
-    while (i <= params_.w) {
-      std::uint64_t b = (i - 1) % params_.v + 1;
-      if (plan_.owner_of(b) != owner) break;
-      ++i;
-    }
-  }
-  return rounds;
+  return owned_runs(params_, plan_).count;
 }
 
 std::uint64_t PipelinedSimLineStrategy::worst_round_advance() const {
-  // Same scan as predicted_rounds, keeping the longest run instead of the
-  // run count. O(w), like the schedule itself.
-  std::uint64_t worst = 0;
-  std::uint64_t i = 1;
-  while (i <= params_.w) {
-    std::uint64_t block = (i - 1) % params_.v + 1;
-    auto owner = plan_.owner_of(block);
-    if (!owner.has_value()) throw std::logic_error("worst_round_advance: uncovered block");
-    std::uint64_t run = 0;
-    while (i <= params_.w && plan_.owner_of((i - 1) % params_.v + 1) == owner) {
-      ++i;
-      ++run;
-    }
-    worst = std::max(worst, run);
-  }
-  return worst;
+  return owned_runs(params_, plan_).longest;
 }
 
 analysis::ProtocolSpec PipelinedSimLineStrategy::protocol_spec() const {
-  const std::uint64_t blocks_bits =
-      kTagBits + BlockSet::encoded_bits(params_, plan_.max_owned());
-  const std::uint64_t frontier_bits = kTagBits + Frontier::encoded_bits(params_);
-
-  analysis::ProtocolSpec spec;
-  spec.protocol = name();
-  spec.machines = plan_.machines();
-  spec.max_rounds = params_.w;
-  spec.needs_oracle = true;
-  spec.clamps_queries_to_budget = true;
-
-  analysis::RoundEnvelope env;
-  env.memory_bits = blocks_bits + frontier_bits;
-  env.oracle_queries = worst_round_advance();
-  env.fan_out = 2;
-  env.fan_in = 2;
-  env.sent_bits = blocks_bits + frontier_bits;
-  env.recv_bits = blocks_bits + frontier_bits;
-  env.max_message_bits = std::max(blocks_bits, frontier_bits);
-  env.witness_machine = plan_.heaviest_machine();
-  spec.steady = env;
-  return spec;
+  return walk_spec(name(), params_, plan_, 1, worst_round_advance());
 }
 
 void PipelinedSimLineStrategy::run_machine(mpc::MachineIo& io, hash::CountingOracle* oracle,
@@ -111,23 +80,20 @@ void PipelinedSimLineStrategy::run_machine(mpc::MachineIo& io, hash::CountingOra
 
   std::uint64_t advanced = 0;
   if (inbox.frontier && inbox.blocks) {
-    Frontier f = *inbox.frontier;
+    // The SimLine walk: node i reads the scheduled block (i-1) mod v + 1.
+    Frontier& f = *inbox.frontier;
     util::BitString last_answer;
-    bool have_answer = false;
     while (f.next_index <= params_.w && oracle->remaining_budget() > 0) {
-      std::uint64_t block = (f.next_index - 1) % params_.v + 1;
-      const util::BitString* x = inbox.blocks->find(block);
+      const util::BitString* x = inbox.blocks->find((f.next_index - 1) % params_.v + 1);
       if (x == nullptr) break;
-      util::BitString query = codec_.encode_query(*x, f.r);
-      last_answer = oracle->query(query);
-      have_answer = true;
+      last_answer = oracle->query(codec_.encode_query(*x, f.r));
       f.r = codec_.decode_answer(last_answer).r;
       f.next_index += 1;
       ++advanced;
     }
 
-    if (f.next_index > params_.w && have_answer) {
-      io.output = last_answer;
+    if (f.next_index > params_.w && advanced > 0) {
+      io.output = std::move(last_answer);
     } else {
       std::uint64_t block = (f.next_index - 1) % params_.v + 1;
       f.ell = block;
@@ -136,10 +102,7 @@ void PipelinedSimLineStrategy::run_machine(mpc::MachineIo& io, hash::CountingOra
         throw std::logic_error("PipelinedSimLineStrategy: uncovered block " +
                                std::to_string(block));
       }
-      util::BitWriter w;
-      w.write_uint(static_cast<std::uint64_t>(PayloadTag::kFrontier), kTagBits);
-      w.write_bits(f.encode(params_));
-      io.send(*owner, w.take());
+      io.send(*owner, frontier_message(params_, f));
     }
   }
   trace.annotate("advance", advanced);

@@ -7,7 +7,10 @@
 // b ≈ s/u blocks fit in local memory — i.e. Θ(w·u/s), matching Theorem
 // A.1's Ω(T·u/s) lower bound and showing the warm-up bound is tight. The
 // contrast between this strategy's round count and pointer-chasing on Line
-// (E1 vs E2) is the paper's core message rendered as data.
+// (E1 vs E2) is the paper's core message rendered as data. Shares, the
+// frontier message and the spec come from block_store.hpp's walk core; the
+// advance loop is this file's own, because SimLine's query has no index and
+// its next block is the public schedule's, not the answer's ℓ.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +45,8 @@ class PipelinedSimLineStrategy final : public mpc::MpcAlgorithm,
   /// advance (and query) worst case the spec declares.
   std::uint64_t worst_round_advance() const;
 
-  /// Declared envelope: window-walking keeps fan-in/out at 2 while the
-  /// per-round query bound is the longest owned run in the public schedule;
+  /// Declared envelope: walk_spec with one frontier copy (fan-in/out 2) and
+  /// the longest owned run in the public schedule as the per-round query bound;
   /// the declared round count is w (sound for any q >= 1 — the achieved
   /// count is predicted_rounds() when q covers a full window).
   analysis::ProtocolSpec protocol_spec() const override;

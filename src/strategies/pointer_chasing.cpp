@@ -1,9 +1,6 @@
 #include "strategies/pointer_chasing.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-
-#include "util/serialize.hpp"
 
 namespace mpch::strategies {
 
@@ -12,47 +9,16 @@ PointerChasingStrategy::PointerChasingStrategy(const core::LineParams& params, O
 
 std::vector<util::BitString> PointerChasingStrategy::make_initial_memory(
     const core::LineInput& input) const {
-  std::vector<util::BitString> shares;
-  shares.reserve(plan_.machines());
-  for (std::uint64_t j = 0; j < plan_.machines(); ++j) {
-    BlockSet set(params_);
-    for (std::uint64_t b : plan_.owned_by(j)) set.add(b, input.block(b));
-    util::BitWriter w;
-    w.write_uint(static_cast<std::uint64_t>(PayloadTag::kBlocks), kTagBits);
-    w.write_bits(set.encode());
-    shares.push_back(w.take());
-  }
-  return shares;
+  return block_shares(params_, plan_, input);
 }
 
 std::uint64_t PointerChasingStrategy::required_local_memory() const {
-  return kTagBits + BlockSet::encoded_bits(params_, plan_.max_owned()) + kTagBits +
-         Frontier::encoded_bits(params_);
+  return walk_memory_bits(params_, plan_, 1);
 }
 
 analysis::ProtocolSpec PointerChasingStrategy::protocol_spec() const {
-  const std::uint64_t blocks_bits =
-      kTagBits + BlockSet::encoded_bits(params_, plan_.max_owned());
-  const std::uint64_t frontier_bits = kTagBits + Frontier::encoded_bits(params_);
-
-  analysis::ProtocolSpec spec;
-  spec.protocol = name();
-  spec.machines = plan_.machines();
-  spec.max_rounds = params_.w;
-  spec.needs_oracle = true;
-  spec.clamps_queries_to_budget = true;
-
-  analysis::RoundEnvelope env;
-  env.memory_bits = blocks_bits + frontier_bits;
-  env.oracle_queries = params_.w;  // whole remaining chain, if locally owned
-  env.fan_out = 2;                 // blocks-to-self + frontier hand-off
-  env.fan_in = 2;                  // own blocks + the single global frontier
-  env.sent_bits = blocks_bits + frontier_bits;
-  env.recv_bits = blocks_bits + frontier_bits;
-  env.max_message_bits = std::max(blocks_bits, frontier_bits);
-  env.witness_machine = plan_.heaviest_machine();
-  spec.steady = env;
-  return spec;
+  // Up to the whole remaining chain per round, if it is locally owned.
+  return walk_spec(name(), params_, plan_, 1, params_.w);
 }
 
 void PointerChasingStrategy::run_machine(mpc::MachineIo& io, hash::CountingOracle* oracle,
@@ -72,25 +38,13 @@ void PointerChasingStrategy::run_machine(mpc::MachineIo& io, hash::CountingOracl
 
   std::uint64_t advanced = 0;
   if (inbox.frontier && inbox.blocks) {
-    Frontier f = *inbox.frontier;
-    util::BitString last_answer;
-    bool have_answer = false;
-    while (f.next_index <= params_.w && inbox.blocks->contains(f.ell) &&
-           oracle->remaining_budget() > 0) {
-      const util::BitString* x = inbox.blocks->find(f.ell);
-      util::BitString query = codec_.encode_query(f.next_index, *x, f.r);
-      last_answer = oracle->query(query);
-      have_answer = true;
-      core::LineAnswer a = codec_.decode_answer(last_answer);
-      f.next_index += 1;
-      f.ell = a.ell;
-      f.r = a.r;
-      ++advanced;
-    }
+    Frontier& f = *inbox.frontier;
+    WalkRun run = walk_owned(codec_, *inbox.blocks, f, *oracle);
+    advanced = run.advanced;
 
-    if (f.next_index > params_.w && have_answer) {
+    if (f.next_index > params_.w && advanced > 0) {
       // Finished: the output is the answer to the last correct query.
-      io.output = last_answer;
+      io.output = std::move(run.last_answer);
     } else if (f.next_index > params_.w) {
       // Frontier arrived already complete (w advanced in an earlier round) —
       // cannot happen because the finisher outputs immediately, but guard.
@@ -102,10 +56,7 @@ void PointerChasingStrategy::run_machine(mpc::MachineIo& io, hash::CountingOracl
         throw std::logic_error("PointerChasingStrategy: block " + std::to_string(f.ell) +
                                " has no owner; the plan must cover [1, v]");
       }
-      util::BitWriter w;
-      w.write_uint(static_cast<std::uint64_t>(PayloadTag::kFrontier), kTagBits);
-      w.write_bits(f.encode(params_));
-      io.send(*owner, w.take());
+      io.send(*owner, frontier_message(params_, f));
     }
   }
   trace.annotate("advance", advanced);

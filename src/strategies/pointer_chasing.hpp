@@ -11,8 +11,9 @@
 //
 // All cross-round state is carried in messages (the model's discipline):
 // every machine re-sends its block set to itself each round; the frontier
-// travels to the next owner. Payloads use block_store.hpp's tagged
-// blocks/frontier format and are read back with its BlockInboxParser.
+// travels to the next owner. The walk itself is block_store.hpp's shared
+// core (block_shares, walk_owned, frontier_message, walk_spec); this
+// strategy's only own rule is the miss: hand the frontier to an owner.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +45,8 @@ class PointerChasingStrategy final : public mpc::MpcAlgorithm,
   /// one frontier plus tags. Pass to MpcConfig::local_memory_bits.
   std::uint64_t required_local_memory() const;
 
-  /// Declared worst-case envelope: one block set + one frontier of memory,
-  /// fan-in/out 2 (blocks-to-self + the single global frontier), up to w
+  /// Declared worst-case envelope: walk_spec with one frontier copy
+  /// (fan-in/out 2: blocks-to-self + the single global frontier), up to w
   /// budget-clamped queries per round, and at most w rounds (>= 1 advance
   /// per round once bootstrapped, since hand-offs go to the block's owner).
   analysis::ProtocolSpec protocol_spec() const override;

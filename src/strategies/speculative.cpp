@@ -1,8 +1,8 @@
 #include "strategies/speculative.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
-
-#include "util/serialize.hpp"
 
 namespace mpch::strategies {
 
@@ -17,48 +17,17 @@ SpeculativeStrategy::SpeculativeStrategy(const core::LineParams& params, Ownersh
 
 std::vector<util::BitString> SpeculativeStrategy::make_initial_memory(
     const core::LineInput& input) const {
-  std::vector<util::BitString> shares;
-  shares.reserve(plan_.machines());
-  for (std::uint64_t j = 0; j < plan_.machines(); ++j) {
-    BlockSet set(params_);
-    for (std::uint64_t b : plan_.owned_by(j)) set.add(b, input.block(b));
-    util::BitWriter w;
-    w.write_uint(static_cast<std::uint64_t>(PayloadTag::kBlocks), kTagBits);
-    w.write_bits(set.encode());
-    shares.push_back(w.take());
-  }
-  return shares;
+  return block_shares(params_, plan_, input);
 }
 
 std::uint64_t SpeculativeStrategy::required_local_memory() const {
-  return kTagBits + BlockSet::encoded_bits(params_, plan_.max_owned()) + kTagBits +
-         Frontier::encoded_bits(params_);
+  return walk_memory_bits(params_, plan_, 1);
 }
 
 analysis::ProtocolSpec SpeculativeStrategy::protocol_spec() const {
-  const std::uint64_t blocks_bits =
-      kTagBits + BlockSet::encoded_bits(params_, plan_.max_owned());
-  const std::uint64_t frontier_bits = kTagBits + Frontier::encoded_bits(params_);
-
-  analysis::ProtocolSpec spec;
-  spec.protocol = name();
-  spec.machines = plan_.machines();
-  spec.max_rounds = params_.w;
-  spec.needs_oracle = true;
-  spec.clamps_queries_to_budget = true;
-
-  analysis::RoundEnvelope env;
-  env.memory_bits = blocks_bits + frontier_bits;
-  env.oracle_queries =
-      params_.w * std::max<std::uint64_t>(1, config_.guesses_per_stall);
-  env.fan_out = 2;
-  env.fan_in = 2;
-  env.sent_bits = blocks_bits + frontier_bits;
-  env.recv_bits = blocks_bits + frontier_bits;
-  env.max_message_bits = std::max(blocks_bits, frontier_bits);
-  env.witness_machine = plan_.heaviest_machine();
-  spec.steady = env;
-  return spec;
+  // Every node may cost a full burst of guesses.
+  return walk_spec(name(), params_, plan_, 1,
+                   params_.w * std::max<std::uint64_t>(1, config_.guesses_per_stall));
 }
 
 void SpeculativeStrategy::run_machine(mpc::MachineIo& io, hash::CountingOracle* oracle,
@@ -72,90 +41,62 @@ void SpeculativeStrategy::run_machine(mpc::MachineIo& io, hash::CountingOracle* 
 
   std::uint64_t advanced = 0;
   if (inbox.frontier && inbox.blocks) {
-    Frontier f = *inbox.frontier;
-    util::BitString last_answer;
-    bool have_answer = false;
-    bool stuck = false;
+    Frontier& f = *inbox.frontier;
+    WalkRun run = walk_owned(codec_, *inbox.blocks, f, *oracle);
 
-    while (!stuck && f.next_index <= params_.w && oracle->remaining_budget() > 0) {
-      const util::BitString* x = inbox.blocks->find(f.ell);
-      util::BitString x_used;
-      if (x != nullptr) {
-        x_used = *x;  // honest advance: the block is local
-      } else {
-        // Stall: spend budget guessing the unowned block x_{ℓ}. The true
-        // value is truth_->block(f.ell); per the charitable-verification
-        // model we continue from the guess that matches it, if any guess
-        // does.
-        const util::BitString& target = truth_->block(f.ell);
-        bool hit = false;
-        std::uint64_t budget = std::min<std::uint64_t>(config_.guesses_per_stall,
-                                                       oracle->remaining_budget());
-        for (std::uint64_t g = 0; g < budget; ++g) {
-          util::BitString guess;
-          if (config_.enumerate) {
-            if (params_.u <= 63 && g >= (1ULL << params_.u)) break;  // domain exhausted
-            guess = util::BitString(params_.u);
-            guess.set_uint(0, std::min<std::uint64_t>(params_.u, 64), g);
-          } else {
-            // Shared-tape randomness: position keyed by (round, machine,
-            // node, attempt) — deterministic, stateless.
-            std::uint64_t word_pos =
-                (io.round * 0x9E3779B9ULL + io.machine) * 0x85EBCA6BULL + f.next_index * 631 + g;
-            guess = util::BitString(params_.u);
-            for (std::uint64_t bpos = 0; bpos < params_.u; bpos += 64) {
-              std::uint64_t len = std::min<std::uint64_t>(64, params_.u - bpos);
-              guess.set_uint(bpos, len, tape.word(word_pos + bpos / 64) >> (64 - len));
-            }
+    // Stall: the walk stopped on a block this machine does not own. Spend
+    // budget guessing x_ℓ; per the charitable-verification model the walk
+    // continues from the guess that matches truth_->block(f.ell), if any
+    // guess does, and then walks its owned blocks again.
+    while (f.next_index <= params_.w && oracle->remaining_budget() > 0 &&
+           !inbox.blocks->contains(f.ell)) {
+      const util::BitString& target = truth_->block(f.ell);
+      std::optional<util::BitString> hit;
+      std::uint64_t budget =
+          std::min<std::uint64_t>(config_.guesses_per_stall, oracle->remaining_budget());
+      for (std::uint64_t g = 0; g < budget; ++g) {
+        util::BitString guess(params_.u);
+        if (config_.enumerate) {
+          if (params_.u <= 63 && g >= (1ULL << params_.u)) break;  // domain exhausted
+          guess.set_uint(0, std::min<std::uint64_t>(params_.u, 64), g);
+        } else {
+          // Shared-tape randomness: position keyed by (round, machine,
+          // node, attempt) — deterministic, stateless.
+          std::uint64_t word_pos =
+              (io.round * 0x9E3779B9ULL + io.machine) * 0x85EBCA6BULL + f.next_index * 631 + g;
+          for (std::uint64_t bpos = 0; bpos < params_.u; bpos += 64) {
+            std::uint64_t len = std::min<std::uint64_t>(64, params_.u - bpos);
+            guess.set_uint(bpos, len, tape.word(word_pos + bpos / 64) >> (64 - len));
           }
-          // The guess costs a real oracle query whether or not it hits.
-          util::BitString query = codec_.encode_query(f.next_index, guess, f.r);
-          util::BitString answer = oracle->query(query);
-          if (guess == target) {
-            last_answer = answer;
-            have_answer = true;
-            hit = true;
-            lucky_escapes_.fetch_add(1, std::memory_order_relaxed);
-            break;
-          }
-          if (oracle->remaining_budget() == 0) break;
         }
-        if (!hit) {
-          stuck = true;
+        // The guess costs a real oracle query whether or not it hits.
+        util::BitString answer = oracle->query(codec_.encode_query(f.next_index, guess, f.r));
+        if (guess == target) {
+          hit = std::move(answer);
+          lucky_escapes_.fetch_add(1, std::memory_order_relaxed);
           break;
         }
-        x_used = target;
-        // The oracle answer for the hit was already consumed above; parse it
-        // below through the common path by re-deriving from last_answer.
-        core::LineAnswer a = codec_.decode_answer(last_answer);
-        f.next_index += 1;
-        f.ell = a.ell;
-        f.r = a.r;
-        ++advanced;
-        continue;
       }
+      if (!hit) break;
 
-      util::BitString query = codec_.encode_query(f.next_index, x_used, f.r);
-      last_answer = oracle->query(query);
-      have_answer = true;
-      core::LineAnswer a = codec_.decode_answer(last_answer);
+      core::LineAnswer a = codec_.decode_answer(*hit);
       f.next_index += 1;
       f.ell = a.ell;
-      f.r = a.r;
-      ++advanced;
+      f.r = std::move(a.r);
+      WalkRun owned = walk_owned(codec_, *inbox.blocks, f, *oracle);
+      run.advanced += 1 + owned.advanced;
+      run.last_answer = owned.advanced > 0 ? std::move(owned.last_answer) : std::move(*hit);
     }
+    advanced = run.advanced;
 
-    if (f.next_index > params_.w && have_answer) {
-      io.output = last_answer;
+    if (f.next_index > params_.w && advanced > 0) {
+      io.output = std::move(run.last_answer);
     } else {
       auto owner = plan_.owner_of(f.ell);
       if (!owner.has_value()) {
         throw std::logic_error("SpeculativeStrategy: uncovered block " + std::to_string(f.ell));
       }
-      util::BitWriter w;
-      w.write_uint(static_cast<std::uint64_t>(PayloadTag::kFrontier), kTagBits);
-      w.write_bits(f.encode(params_));
-      io.send(*owner, w.take());
+      io.send(*owner, frontier_message(params_, f));
     }
   }
   trace.annotate("advance", advanced);

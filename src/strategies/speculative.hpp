@@ -9,7 +9,9 @@
 // escapes. This strategy makes the theorem's q < 2^{n/4} side-condition and
 // its "u is assumed to be large enough as otherwise, machine may guess it
 // locally" remark measurable: rounds collapse when q ≥ 2^u and are untouched
-// when u is large.
+// when u is large. The walk is block_store.hpp's shared core: walk_owned
+// runs until it stops on a missing block, and only then does the guess
+// burst run.
 //
 // Verification model: the strategy is *charitably verified* — it is told
 // which guess (if any) was correct. A real attacker cannot distinguish the
@@ -51,9 +53,10 @@ class SpeculativeStrategy final : public mpc::MpcAlgorithm,
   std::vector<util::BitString> make_initial_memory(const core::LineInput& input) const;
   std::uint64_t required_local_memory() const;
 
-  /// Declared envelope: pointer-chasing's shape, with the per-round query
-  /// bound inflated to w * max(1, guesses_per_stall) — every node may cost a
-  /// full burst of guesses (budget-clamped).
+  /// Declared envelope: walk_spec with one frontier copy, like
+  /// pointer-chasing, and the per-round query bound inflated to
+  /// w * max(1, guesses_per_stall) — every node may cost a full burst of
+  /// guesses (budget-clamped).
   analysis::ProtocolSpec protocol_spec() const override;
 
   /// Total stalls escaped by a correct guess across the run so far.

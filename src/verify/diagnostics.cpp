@@ -33,8 +33,9 @@ const char* finding_kind_name(FindingKind kind) {
 }
 
 std::string Finding::to_string() const {
-  return "[" + std::string(severity_name(severity)) + "/" + finding_kind_name(kind) + "] pc " +
-         std::to_string(pc) + ": " + message;
+  return std::string("[").append(severity_name(severity)).append("/")
+      .append(finding_kind_name(kind)).append("] pc ").append(std::to_string(pc)).append(": ")
+      .append(message);
 }
 
 bool has_errors(const std::vector<Finding>& findings) {

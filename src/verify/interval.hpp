@@ -42,19 +42,9 @@ struct Interval {
   }
 
   std::string to_string() const {
-    std::string out;
-    if (is_constant()) {
-      out = "{";
-      out += std::to_string(lo);
-      out += "}";
-      return out;
-    }
-    out = "[";
-    out += std::to_string(lo);
-    out += ", ";
-    out += hi == kMax ? "max" : std::to_string(hi);
-    out += "]";
-    return out;
+    if (is_constant()) return std::string("{").append(std::to_string(lo)).append("}");
+    return std::string("[").append(std::to_string(lo)).append(", ")
+        .append(hi == kMax ? "max" : std::to_string(hi)).append("]");
   }
 };
 

@@ -140,7 +140,8 @@ std::string json_escape(const std::string& s) {
 }
 
 std::string interval_json(const Interval& iv) {
-  return "[" + std::to_string(iv.lo) + "," + std::to_string(iv.hi) + "]";
+  return std::string("[").append(std::to_string(iv.lo)).append(",").append(std::to_string(iv.hi))
+      .append("]");
 }
 
 }  // namespace

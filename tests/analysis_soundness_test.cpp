@@ -26,49 +26,66 @@ namespace {
 
 core::LineParams params(std::uint64_t w = 64) { return core::LineParams::make(64, 16, 8, w); }
 
-/// Run a Line-family strategy under its documented config and assert the
-/// observed trace stays inside the declared spec.
-template <typename Strategy>
-void expect_sound(Strategy& strat, const core::LineInput& input, std::uint64_t q,
-                  std::uint64_t seed) {
-  ProtocolSpec spec = strat.protocol_spec();
-  mpc::MpcConfig c = documented_config(spec, q);
-  auto oracle = std::make_shared<hash::LazyRandomOracle>(64, 64, seed);
-  mpc::MpcSimulation sim(c, oracle);
-  auto result = sim.run(strat, strat.make_initial_memory(input));
-  ASSERT_TRUE(result.completed);
-  AnalysisReport report = check_soundness(spec, result, c);
+core::LineInput random_input(const core::LineParams& p, std::uint64_t seed) {
+  util::Rng rng(seed);
+  return core::LineInput::random(p, rng);
+}
+
+/// A strategy's declared spec, its documented config and the run under it.
+struct DocumentedRun {
+  ProtocolSpec spec;
+  mpc::MpcConfig config;
+  mpc::MpcRunResult result;
+};
+
+/// Run `strat` on `input` under documented_config(spec, q), with a lazy
+/// oracle of `seed` if the spec needs one.
+template <typename Strategy, typename Input>
+DocumentedRun run_documented(Strategy& strat, const Input& input, std::uint64_t q,
+                             std::uint64_t seed) {
+  DocumentedRun run{strat.protocol_spec(), {}, {}};
+  run.config = documented_config(run.spec, q);
+  std::shared_ptr<hash::RandomOracle> oracle;
+  if (run.spec.needs_oracle) oracle = std::make_shared<hash::LazyRandomOracle>(64, 64, seed);
+  mpc::MpcSimulation sim(run.config, oracle);
+  run.result = sim.run(strat, strat.make_initial_memory(input));
+  return run;
+}
+
+/// Run a strategy under its documented config and assert the observed trace
+/// stays inside the declared spec.
+template <typename Strategy, typename Input>
+void expect_sound(Strategy& strat, const Input& input, std::uint64_t q, std::uint64_t seed) {
+  DocumentedRun run = run_documented(strat, input, q, seed);
+  ASSERT_TRUE(run.result.completed);
+  AnalysisReport report = check_soundness(run.spec, run.result, run.config);
   EXPECT_TRUE(report.ok()) << report.format();
 }
 
 TEST(SpecSoundness, PointerChasing) {
   core::LineParams p = params();
-  util::Rng rng(11);
-  core::LineInput input = core::LineInput::random(p, rng);
+  core::LineInput input = random_input(p, 11);
   strategies::PointerChasingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
   expect_sound(strat, input, 4, 12);
 }
 
 TEST(SpecSoundness, Colluding) {
   core::LineParams p = params();
-  util::Rng rng(13);
-  core::LineInput input = core::LineInput::random(p, rng);
+  core::LineInput input = random_input(p, 13);
   strategies::ColludingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
   expect_sound(strat, input, 4, 14);
 }
 
 TEST(SpecSoundness, PipelinedSimLine) {
   core::LineParams p = params();
-  util::Rng rng(15);
-  core::LineInput input = core::LineInput::random(p, rng);
+  core::LineInput input = random_input(p, 15);
   strategies::PipelinedSimLineStrategy strat(p, strategies::OwnershipPlan::windows(p, 4, 2));
   expect_sound(strat, input, 4, 16);
 }
 
 TEST(SpecSoundness, Speculative) {
   core::LineParams p = params();
-  util::Rng rng(17);
-  core::LineInput input = core::LineInput::random(p, rng);
+  core::LineInput input = random_input(p, 17);
   strategies::SpeculativeStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4),
                                         {4, true}, input);
   expect_sound(strat, input, 8, 18);
@@ -76,16 +93,14 @@ TEST(SpecSoundness, Speculative) {
 
 TEST(SpecSoundness, FullMemory) {
   core::LineParams p = params();
-  util::Rng rng(19);
-  core::LineInput input = core::LineInput::random(p, rng);
+  core::LineInput input = random_input(p, 19);
   strategies::FullMemoryStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
   expect_sound(strat, input, p.w, 20);
 }
 
 TEST(SpecSoundness, Dictionary) {
   core::LineParams p = params();
-  util::Rng rng(21);
-  core::LineInput input = core::LineInput::random(p, rng);
+  core::LineInput input = random_input(p, 21);
   strategies::DictionaryStrategy strat(p, 4);
   expect_sound(strat, input, p.w, 22);
 }
@@ -93,20 +108,10 @@ TEST(SpecSoundness, Dictionary) {
 TEST(SpecSoundness, BatchPointerChasing) {
   core::LineParams p = params();
   std::vector<core::LineInput> inputs;
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    util::Rng rng(23 + i);
-    inputs.push_back(core::LineInput::random(p, rng));
-  }
+  for (std::uint64_t i = 0; i < 3; ++i) inputs.push_back(random_input(p, 23 + i));
   strategies::BatchPointerChasingStrategy strat(
       p, strategies::OwnershipPlan::round_robin(p, 4), 3);
-  ProtocolSpec spec = strat.protocol_spec();
-  mpc::MpcConfig c = documented_config(spec, 4);
-  auto oracle = std::make_shared<hash::LazyRandomOracle>(64, 64, 26);
-  mpc::MpcSimulation sim(c, oracle);
-  auto result = sim.run(strat, strat.make_initial_memory(inputs));
-  ASSERT_TRUE(result.completed);
-  AnalysisReport report = check_soundness(spec, result, c);
-  EXPECT_TRUE(report.ok()) << report.format();
+  expect_sound(strat, inputs, 4, 26);
 }
 
 TEST(SpecSoundness, RamEmulation) {
@@ -118,27 +123,16 @@ TEST(SpecSoundness, RamEmulation) {
   native.run();
 
   strategies::RamEmulationStrategy strat(prog, 4, 1, memory.size(), native.steps_executed());
-  ProtocolSpec spec = strat.protocol_spec();
-  mpc::MpcConfig c = documented_config(spec, 0);
-  mpc::MpcSimulation sim(c, nullptr);
-  auto result = sim.run(strat, strat.make_initial_memory(memory));
-  ASSERT_TRUE(result.completed);
-  AnalysisReport report = check_soundness(spec, result, c);
-  EXPECT_TRUE(report.ok()) << report.format();
+  expect_sound(strat, memory, 0, 0);  // plain model: q = 0, no oracle
 }
 
 // --- lying specs are caught with provenance ---
 
 TEST(SpecSoundness, CatchesUnderstatedMemory) {
   core::LineParams p = params();
-  util::Rng rng(31);
-  core::LineInput input = core::LineInput::random(p, rng);
+  core::LineInput input = random_input(p, 31);
   strategies::PointerChasingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
-  ProtocolSpec spec = strat.protocol_spec();
-  mpc::MpcConfig c = documented_config(spec, 4);
-  auto oracle = std::make_shared<hash::LazyRandomOracle>(64, 64, 32);
-  mpc::MpcSimulation sim(c, oracle);
-  auto result = sim.run(strat, strat.make_initial_memory(input));
+  auto [spec, c, result] = run_documented(strat, input, 4, 32);
   ASSERT_TRUE(result.completed);
 
   ProtocolSpec lying = spec;
@@ -156,14 +150,9 @@ TEST(SpecSoundness, CatchesUnderstatedMemory) {
 
 TEST(SpecSoundness, CatchesUnderstatedFanOut) {
   core::LineParams p = params();
-  util::Rng rng(33);
-  core::LineInput input = core::LineInput::random(p, rng);
+  core::LineInput input = random_input(p, 33);
   strategies::ColludingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
-  ProtocolSpec spec = strat.protocol_spec();
-  mpc::MpcConfig c = documented_config(spec, 4);
-  auto oracle = std::make_shared<hash::LazyRandomOracle>(64, 64, 34);
-  mpc::MpcSimulation sim(c, oracle);
-  auto result = sim.run(strat, strat.make_initial_memory(input));
+  auto [spec, c, result] = run_documented(strat, input, 4, 34);
   ASSERT_TRUE(result.completed);
 
   ProtocolSpec lying = spec;
@@ -180,14 +169,9 @@ TEST(SpecSoundness, CatchesUnderstatedFanOut) {
 
 TEST(SpecSoundness, CatchesUnderstatedRoundCount) {
   core::LineParams p = params();
-  util::Rng rng(35);
-  core::LineInput input = core::LineInput::random(p, rng);
+  core::LineInput input = random_input(p, 35);
   strategies::PointerChasingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
-  ProtocolSpec spec = strat.protocol_spec();
-  mpc::MpcConfig c = documented_config(spec, 4);
-  auto oracle = std::make_shared<hash::LazyRandomOracle>(64, 64, 36);
-  mpc::MpcSimulation sim(c, oracle);
-  auto result = sim.run(strat, strat.make_initial_memory(input));
+  auto [spec, c, result] = run_documented(strat, input, 4, 36);
   ASSERT_TRUE(result.completed);
   ASSERT_GT(result.rounds_used, 2u);
 
@@ -204,14 +188,9 @@ TEST(SpecSoundness, QueriesComparedAgainstClampedBound) {
   // machine-round even though its declared envelope says w; soundness must
   // compare against min(declared, q) and pass.
   core::LineParams p = params();
-  util::Rng rng(37);
-  core::LineInput input = core::LineInput::random(p, rng);
+  core::LineInput input = random_input(p, 37);
   strategies::PointerChasingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
-  ProtocolSpec spec = strat.protocol_spec();
-  mpc::MpcConfig c = documented_config(spec, 2);
-  auto oracle = std::make_shared<hash::LazyRandomOracle>(64, 64, 38);
-  mpc::MpcSimulation sim(c, oracle);
-  auto result = sim.run(strat, strat.make_initial_memory(input));
+  auto [spec, c, result] = run_documented(strat, input, 2, 38);
   ASSERT_TRUE(result.completed);
   AnalysisReport report = check_soundness(spec, result, c);
   EXPECT_TRUE(report.ok()) << report.format();
@@ -224,8 +203,7 @@ TEST(SpecSoundness, ParallelRunObservesSamePeaksAsSerial) {
   // The peak instrumentation reduces deterministically in the parallel
   // merge, so the soundness verdict cannot depend on MpcConfig::threads.
   core::LineParams p = params();
-  util::Rng rng(39);
-  core::LineInput input = core::LineInput::random(p, rng);
+  core::LineInput input = random_input(p, 39);
   strategies::PointerChasingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
   ProtocolSpec spec = strat.protocol_spec();
   mpc::MpcConfig c = documented_config(spec, 4);

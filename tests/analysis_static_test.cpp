@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <limits>
+#include <memory>
+#include <string>
 
 #include "core/line.hpp"
 #include "reduce/term.hpp"
+#include "serve/scenario.hpp"
 #include "strategies/batch_pointer_chasing.hpp"
 #include "strategies/colluding.hpp"
 #include "strategies/dictionary.hpp"
@@ -71,6 +75,38 @@ TEST(StaticChecker, RamEmulationPassesPlainModelWithZeroBudget) {
 TEST(StaticChecker, RamEmulationSpecRequiresCtorHints) {
   strategies::RamEmulationStrategy ram({ram::asm_ops::halt()}, 4);
   EXPECT_THROW(ram.protocol_spec(), std::logic_error);
+}
+
+// --- the blocks/frontier walkers' specs, pinned field by field ---
+
+using Fields = std::array<std::uint64_t, 11>;
+
+/// The registry scenario's spec as (m, rounds, the steady envelope's fields
+/// in declaration order, required_local_memory()).
+template <typename Strategy>
+Fields walk_fields(const std::string& scenario) {
+  serve::Scenario s = serve::make_scenario(scenario, 1, 0);
+  const auto& strat = dynamic_cast<const Strategy&>(*s.algo);
+  const ProtocolSpec spec = strat.protocol_spec();
+  const RoundEnvelope& e = spec.steady;
+  EXPECT_EQ(spec.protocol, strat.name());
+  EXPECT_TRUE(spec.needs_oracle && spec.clamps_queries_to_budget && spec.prologue.empty());
+  return {spec.machines, spec.max_rounds, e.memory_bits, e.oracle_queries, e.fan_out, e.fan_in,
+          e.sent_bits, e.recv_bits, e.max_message_bits, e.witness_machine,
+          strat.required_local_memory()};
+}
+
+TEST(WalkSpec, FourWalkersPinnedAtRegistrySizes) {
+  // Registry sizes: u = 16, v = 8, w = 96, round-robin over 4 machines;
+  // pipelined-simline has v = 16, w = 256 and windows of 4.
+  EXPECT_EQ(walk_fields<strategies::PointerChasingStrategy>("pointer-chasing"),
+            (Fields{4, 96, 103, 96, 2, 2, 103, 103, 74, 0, 103}));
+  EXPECT_EQ(walk_fields<strategies::ColludingStrategy>("colluding"),
+            (Fields{4, 96, 190, 96, 5, 5, 190, 190, 74, 0, 190}));
+  EXPECT_EQ(walk_fields<strategies::PipelinedSimLineStrategy>("pipelined-simline"),
+            (Fields{4, 256, 150, 4, 2, 2, 150, 150, 118, 0, 150}));
+  EXPECT_EQ(walk_fields<strategies::SpeculativeStrategy>("speculative"),
+            (Fields{4, 96, 103, 384, 2, 2, 103, 103, 74, 0, 103}));
 }
 
 // --- seeded violation fixtures ---

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/line.hpp"
+#include "hash/random_oracle.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
 
@@ -105,8 +107,8 @@ TEST(BlockInboxParser, FurthestFrontierWins) {
   BlockInboxParser parser(p);
   for (bool furthest_first : {true, false}) {
     std::vector<mpc::Message> inbox = {
-        tagged(PayloadTag::kFrontier, frontier_at(p, furthest_first ? 9 : 4).encode(p)),
-        tagged(PayloadTag::kFrontier, frontier_at(p, furthest_first ? 4 : 9).encode(p))};
+        {0, 0, frontier_message(p, frontier_at(p, furthest_first ? 9 : 4))},
+        {0, 0, frontier_message(p, frontier_at(p, furthest_first ? 4 : 9))}};
     BlockInbox parsed = parser.parse(inbox);
     ASSERT_TRUE(parsed.frontier.has_value());
     EXPECT_EQ(parsed.frontier->next_index, 9u);
@@ -121,8 +123,7 @@ TEST(BlockInboxParser, BlocksPayloadComesBackVerbatim) {
   BlockInboxParser parser(p);
   BitString body = random_blocks(p, 3);
   mpc::Message blocks = tagged(PayloadTag::kBlocks, body);
-  BlockInbox parsed =
-      parser.parse({tagged(PayloadTag::kFrontier, frontier_at(p, 2).encode(p)), blocks});
+  BlockInbox parsed = parser.parse({{0, 0, frontier_message(p, frontier_at(p, 2))}, blocks});
   EXPECT_EQ(parsed.blocks_payload, blocks.payload);
   ASSERT_NE(parsed.blocks, nullptr);
   EXPECT_EQ(parsed.blocks->encode(), body);
@@ -213,6 +214,80 @@ TEST(OwnershipPlan, MaxOwned) {
   core::LineParams p = params();
   OwnershipPlan plan = OwnershipPlan::round_robin(p, 3);
   EXPECT_EQ(plan.max_owned(), 3u);  // ceil(8/3)
+}
+
+// --- the shared walk core ---
+
+TEST(BlockShares, RoundTripToEachMachinesOwnedBlocks) {
+  core::LineParams p = params();
+  util::Rng rng(3);
+  core::LineInput input = core::LineInput::random(p, rng);
+  for (const OwnershipPlan& plan : {OwnershipPlan::round_robin(p, 3),
+                                    OwnershipPlan::windows(p, 3, 2),
+                                    OwnershipPlan::replicated(p, 4, 3)}) {
+    std::vector<BitString> shares = block_shares(p, plan, input);
+    ASSERT_EQ(shares.size(), plan.machines());
+    for (std::uint64_t j = 0; j < plan.machines(); ++j) {
+      auto blocks = BlockInboxParser(p).parse({{j, j, shares[j]}}).blocks;
+      ASSERT_NE(blocks, nullptr);
+      EXPECT_EQ(blocks->indices(), plan.owned_by(j));
+      for (std::uint64_t b : plan.owned_by(j)) EXPECT_EQ(*blocks->find(b), input.block(b));
+    }
+  }
+}
+
+/// walk_owned from node 1 of a params() chain, with every block local but
+/// `missing` (0: none) and a budget of `q` queries.
+struct Walk {
+  explicit Walk(std::uint64_t q, std::uint64_t missing = 0)
+      : oracle(std::make_shared<hash::LazyRandomOracle>(64, 64, 5), 0, q, nullptr) {
+    for (std::uint64_t b = 1; b <= p.v; ++b) {
+      if (b != missing) blocks.add(b, input.block(b));
+    }
+  }
+  WalkRun step() { return walk_owned(core::LineCodec(p), blocks, f, oracle); }
+
+  core::LineParams p = params();
+  util::Rng rng{4};
+  core::LineInput input = core::LineInput::random(p, rng);
+  BlockSet blocks{p};
+  hash::CountingOracle oracle;
+  Frontier f{1, 1, BitString(p.u)};
+};
+
+TEST(WalkOwned, WalksTheWholeChainWhenEveryBlockIsLocal) {
+  Walk walk(100);
+  WalkRun run = walk.step();
+  EXPECT_EQ(run.advanced, walk.p.w);
+  EXPECT_EQ(walk.f.next_index, walk.p.w + 1);
+  hash::LazyRandomOracle reference(64, 64, 5);
+  EXPECT_EQ(run.last_answer, core::LineFunction(walk.p).evaluate(reference, walk.input));
+}
+
+TEST(WalkOwned, StopsOnAMissingBlock) {
+  Walk probe(4);  // four nodes in, the frontier names ℓ_5
+  probe.step();
+  Walk walk(100, probe.f.ell);
+  WalkRun run = walk.step();
+  EXPECT_EQ(walk.f.ell, probe.f.ell);
+  EXPECT_GT(run.advanced, 0u);
+  EXPECT_LE(run.advanced, 4u);
+  EXPECT_EQ(walk.f.next_index, run.advanced + 1);
+  EXPECT_EQ(walk.oracle.queries_this_round(), run.advanced);
+}
+
+TEST(WalkOwned, StopsAtAZeroBudgetAndPastTheEnd) {
+  Walk walk(2);
+  EXPECT_EQ(walk.step().advanced, 2u);
+  // At a budget of 0 no query is issued (it would throw) and the frontier
+  // stays where it is.
+  EXPECT_EQ(walk.step().advanced, 0u);
+  EXPECT_EQ(walk.f.next_index, 3u);
+
+  Walk done(100);
+  done.f.next_index = done.p.w + 1;
+  EXPECT_EQ(done.step().advanced, 0u);
+  EXPECT_EQ(done.oracle.queries_this_round(), 0u);
 }
 
 }  // namespace

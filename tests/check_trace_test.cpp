@@ -76,7 +76,7 @@ TEST(CheckTrace, RejectsBadHeader) {
 
 TEST(CheckTrace, RejectsCarriageReturns) {
   std::string text = encode_trace(sample_trace());
-  text.insert(text.find('\n'), "\r");
+  text.insert(text.find('\n'), 1, '\r');
   expect_trace_error(text, "CR");
 }
 

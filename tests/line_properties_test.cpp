@@ -104,8 +104,9 @@ constexpr GridPoint kGrid[] = {{8, 4, 16, 2},    {8, 8, 64, 4},   {16, 8, 32, 3}
 INSTANTIATE_TEST_SUITE_P(Grid, LineGridTest, ::testing::ValuesIn(kGrid),
                          [](const ::testing::TestParamInfo<GridPoint>& param_info) {
                            const GridPoint& g = param_info.param;
-                           return "u" + std::to_string(g.u) + "v" + std::to_string(g.v) + "w" +
-                                  std::to_string(g.w) + "m" + std::to_string(g.machines);
+                           return std::string("u").append(std::to_string(g.u)).append("v")
+                               .append(std::to_string(g.v)).append("w").append(std::to_string(g.w))
+                               .append("m").append(std::to_string(g.machines));
                          });
 
 // Oracle-instantiation grid: the function is well-defined under every

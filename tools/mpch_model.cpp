@@ -194,7 +194,9 @@ int run_replay(const std::string& path, const check::ModelBounds& bounds,
               << json_escape(trace.protocol) << "\",\"mutation\":\""
               << json_escape(trace.mutation) << "\",\"steps\":" << outcome.steps
               << ",\"violation\":"
-              << (reproduced ? "\"" + json_escape(*outcome.violation) + "\"" : "null") << "}\n";
+              << (reproduced ? std::string("\"").append(json_escape(*outcome.violation)).append("\"")
+                             : "null")
+              << "}\n";
   } else {
     std::cout << "replay " << path << " (" << trace.protocol << ", mutation " << trace.mutation
               << "): ";
@@ -219,7 +221,7 @@ int run_matrix(const check::ModelBounds& bounds, const std::string& format,
     const ProtocolRun run = explore_one(protocol, bounds, "none");
     all_good = all_good && run.result.ok();
     if (format == "json") {
-      json += (first ? "" : ",") + to_json(run);
+      json.append(first ? "" : ",").append(to_json(run));
       first = false;
     } else {
       print_text(run);
@@ -233,7 +235,7 @@ int run_matrix(const check::ModelBounds& bounds, const std::string& format,
       save_counterexample(trace_dir + "/" + spec.name + ".trace", run, bounds);
     }
     if (format == "json") {
-      json += (first ? "" : ",") + to_json(run);
+      json.append(first ? "" : ",").append(to_json(run));
       first = false;
     } else {
       const check::ExploreStats& s = run.result.stats;
@@ -334,7 +336,7 @@ int main(int argc, char** argv) {
         save_counterexample(args.get_string("trace-out", ""), run, bounds);
       }
       if (format == "json") {
-        json += (first ? "" : ",") + to_json(run);
+        json.append(first ? "" : ",").append(to_json(run));
         first = false;
       } else {
         print_text(run);

@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
     failed = failed || !report.ok() || (strict && !report.clean());
 
     if (format == "json") {
-      json += (first_json ? "" : ",") + report.to_json();
+      json.append(first_json ? "" : ",").append(report.to_json());
       first_json = false;
     } else {
       std::cout << report.format() << "\n";
